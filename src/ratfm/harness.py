@@ -235,6 +235,19 @@ def _retrieval_query(window: Window, example_len: int) -> Window:
     )
 
 
+def _map(config: ExperimentConfig, fn, items: list) -> list:
+    """``[fn(x) for x in items]``, on ``config.workers`` threads when > 1.
+
+    Warning filters are process-wide and ``warnings.catch_warnings`` is
+    not thread-safe, so workers must not enter it; callers set filters
+    around this call instead.
+    """
+    if config.workers > 1:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool_exec:
+            return list(pool_exec.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def _train_forecaster(
     config: ExperimentConfig, data: PreparedRun
 ) -> tuple[LinearForecaster, dict]:
@@ -243,20 +256,26 @@ def _train_forecaster(
     te, h, tt = budget
     stride = config.eval_stride if config.eval_stride is not None else h
     total = budget.total
-    contexts = []
-    for series in data.series:
-        pool = data.pools.get(series.domain)
-        if pool is None:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            wins = make_windows(series, "train", total, h, stride)
+    jobs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for series in data.series:
+            pool = data.pools.get(series.domain)
+            if pool is not None:
+                jobs.append((pool, make_windows(series, "train", total, h, stride)))
+
+    def job_contexts(job: tuple[CandidatePool, list[Window]]) -> list:
+        pool, wins = job
+        out = []
         for w in wins:
             try:
                 example, _ = retrieve_best(_retrieval_query(w, te), pool)
             except RatfmError:
                 continue
-            contexts.append(assemble_context(w, example, budget))
+            out.append(assemble_context(w, example, budget))
+        return out
+
+    contexts = [ctx for ctxs in _map(config, job_contexts, jobs) for ctx in ctxs]
     try:
         forecaster, report = train_linear(contexts, config.ridge_reg)
     except EmptyTrainingSetError as exc:
@@ -379,21 +398,16 @@ def run_setting(
     def eval_one(series: LabeledSeries):
         pool = data.pools.get(series.domain)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rec, dump = _eval_series(
-                    series, config, setting, data.periods[series.id], pool, trained
-                )
+            rec, dump = _eval_series(
+                series, config, setting, data.periods[series.id], pool, trained
+            )
             return series.id, rec, dump, None
         except RatfmError as exc:
             return series.id, None, None, str(exc)
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool_exec:
-            results = list(pool_exec.map(eval_one, data.series))
-    else:
-        results = [eval_one(s) for s in data.series]
-
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = _map(config, eval_one, data.series)
     for sid, rec, dump, err in results:
         if err is not None:
             logger.warning("skipping %s: %s", sid, err)

@@ -2,13 +2,20 @@
 
 The similarity between two equal-length windows is the maximum over all
 lags of their zero-padded (linear) cross-correlation, normalized by the
-product of the full-vector Euclidean norms.  The correlation sequence is
-computed with FFTs; lag selection runs through the shared kernels.
+product of the full-vector Euclidean norms: the shape-based distance of
+k-Shape, computed with FFTs as in MASS.
+
+Retrieval is max-first.  Each candidate is scored by the plain maximum
+of its correlation sequence, computed over the pool in fixed blocks of
+rows so the temporaries stay small.  The lag tie rule (smaller
+``|lag|``, then the negative lag) changes only which lag is reported,
+never a candidate's score, so it runs once, on the winner's row.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +40,10 @@ class SimilarityResult:
     candidate_index: int = -1
 
 
+# rows of the pool correlated per block in retrieve_best
+_CHUNK_ROWS = 64
+
+
 @dataclass
 class CandidatePool:
     """Immutable set of same-domain candidate windows.
@@ -40,7 +51,8 @@ class CandidatePool:
     Entries typically come from the training regions of series other
     than the query's; windows from the query's own series are excluded
     at retrieval time.  ``fraction`` and ``seed`` record how the pool
-    was subsampled.
+    was subsampled.  The stacked entries and their spectra are built
+    lazily on first use, once even when several threads query at once.
     """
 
     domain: str
@@ -48,13 +60,24 @@ class CandidatePool:
     fraction: float = 1.0
     seed: int = 0
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """(entries matrix, per-entry norms), built once."""
-        if "stack" not in self._cache:
+    def _cached(self, key, build):
+        if key not in self._cache:
+            with self._lock:
+                if key not in self._cache:
+                    self._cache[key] = build()
+        return self._cache[key]
+
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(entries matrix, per-entry norms, per-entry series ids)."""
+
+        def build():
             lengths = {len(e.input) for e in self.entries}
             if len(lengths) > 1:
                 raise InconsistentWindowLengthError(
@@ -63,17 +86,20 @@ class CandidatePool:
             stack = np.ascontiguousarray(
                 np.stack([e.input for e in self.entries]), dtype=np.float64
             )
-            norms = np.linalg.norm(stack, axis=1)
-            self._cache["stack"] = stack
-            self._cache["norms"] = norms
-        return self._cache["stack"], self._cache["norms"]
+            series_ids = np.array([e.series_id for e in self.entries])
+            return stack, np.linalg.norm(stack, axis=1), series_ids
 
-    def _spectra(self, nfft: int) -> np.ndarray:
-        key = ("rfft", nfft)
-        if key not in self._cache:
-            stack, _ = self._stacked()
-            self._cache[key] = np.fft.rfft(stack, nfft, axis=1)
-        return self._cache[key]
+        return self._cached("stack", build)
+
+    def _conj_spectra(self, nfft: int) -> np.ndarray:
+        """Complex conjugates of the entries' ``nfft``-point spectra."""
+        stack = self._stacked()[0]
+
+        def build():
+            spectra = np.fft.rfft(stack, nfft, axis=1)
+            return np.conj(spectra, out=spectra)
+
+        return self._cached(("conj_rfft", nfft), build)
 
 
 def _fft_size(length: int) -> int:
@@ -129,14 +155,18 @@ def retrieve_best(
 ) -> tuple[Window, SimilarityResult]:
     """Pool entry maximizing :func:`ncc_max` against the query input.
 
-    Entries from the query's own series are skipped.  Ties between
-    candidates are broken toward the lowest pool index.
+    Every candidate is scored by the maximum of its cross-correlation
+    over all lags, divided by the two norms; the pool is correlated in
+    blocks of ``_CHUNK_ROWS`` rows.  Entries from the query's own series
+    and all-zero entries are skipped, and ties between candidates go to
+    the lowest pool index.  The lag tie rule of :func:`ncc_max` runs on
+    the winner's row only, since it never changes a score.
     """
     if not pool.entries:
         raise EmptyPoolError(f"pool for domain {pool.domain!r} is empty")
     q = np.asarray(query.input, dtype=np.float64)
     L = len(q)
-    stack, norms = pool._stacked()
+    stack, norms, series_ids = pool._stacked()
     if stack.shape[1] != L:
         raise InconsistentWindowLengthError(
             f"pool windows have length {stack.shape[1]}, query has {L}"
@@ -146,28 +176,34 @@ def retrieve_best(
     qnorm = float(np.linalg.norm(q))
     if qnorm == 0.0:
         raise ZeroNormVectorError("query window is all-zero")
-
-    nfft = _fft_size(L)
-    fq = np.fft.rfft(q, nfft)
-    circ = np.fft.irfft(fq[None, :] * np.conj(pool._spectra(nfft)), nfft, axis=1)
-    cc = np.concatenate((circ[:, nfft - L + 1 :], circ[:, :L]), axis=1)
-
-    best_j = _kernels.best_lag_batch(cc)
-    scores = cc[np.arange(len(pool.entries)), best_j] / (qnorm * norms)
     # exclude the query's own series and zero-norm candidates
-    usable = (norms > 0.0) & np.array(
-        [e.series_id != query.series_id for e in pool.entries]
-    )
+    usable = (norms > 0.0) & (series_ids != query.series_id)
     if not usable.any():
         raise EmptyPoolError(
             f"pool for domain {pool.domain!r} has no candidate outside "
             f"series {query.series_id!r}"
         )
-    scores = np.where(usable, scores, -np.inf)
+
+    nfft = _fft_size(L)
+    fq = np.fft.rfft(q, nfft)
+    spectra = pool._conj_spectra(nfft)
+    peaks = np.empty(len(norms))
+    for lo in range(0, len(norms), _CHUNK_ROWS):
+        # circular lags 0..L-1 sit at the front, -(L-1)..-1 at the back
+        circ = np.fft.irfft(fq * spectra[lo : lo + _CHUNK_ROWS], nfft, axis=1)
+        np.maximum(
+            circ[:, :L].max(axis=1),
+            circ[:, nfft - L + 1 :].max(axis=1),
+            out=peaks[lo : lo + _CHUNK_ROWS],
+        )
+    scores = np.where(usable, peaks / (qnorm * norms), -np.inf)
     idx = int(np.argmax(scores))
+
+    circ = np.fft.irfft(fq * spectra[idx : idx + 1], nfft, axis=1)
+    cc = np.concatenate((circ[:, nfft - L + 1 :], circ[:, :L]), axis=1)
     result = SimilarityResult(
         score=float(np.clip(scores[idx], -1.0, 1.0)),
-        best_lag=int(best_j[idx]) - (L - 1),
+        best_lag=int(_kernels.best_lag_batch(cc)[0]) - (L - 1),
         candidate_index=idx,
     )
     return pool.entries[idx], result

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,22 @@ class TestRunSetting:
         seq = run_setting(cfg, "zero_shot_naive").to_json()
         par = run_setting(config(workers=4), "zero_shot_naive").to_json()
         assert seq == par
+
+    @pytest.mark.parametrize("setting", ["ratfm_copy", "ratfm_linear"])
+    def test_workers_do_not_change_retrieval_results(self, setting):
+        # ratfm_linear also pins the order of the parallel training contexts
+        seq = run_setting(config(), setting).to_json()
+        par = run_setting(config(workers=2), setting).to_json()
+        assert seq == par
+
+    @pytest.mark.parametrize("setting", ["zero_shot_naive", "ratfm_linear"])
+    def test_workers_leave_warning_filters_alone(self, setting):
+        # warning filters are process-wide: a worker thread that enters and
+        # leaves catch_warnings can restore another worker's "ignore"
+        before = list(warnings.filters)
+        for _ in range(3):
+            run_setting(config(workers=4), setting)
+            assert warnings.filters == before
 
     def test_pipeline_order_smoothing_before_threshold_and_metrics(self, monkeypatch):
         calls = []

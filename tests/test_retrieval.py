@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,14 @@ from ratfm.errors import (
     LengthMismatchError,
     ZeroNormVectorError,
 )
-from ratfm.retrieval import CandidatePool, build_pool, ncc_max, retrieve_best, subsample_pool
+from ratfm.retrieval import (
+    _CHUNK_ROWS,
+    CandidatePool,
+    build_pool,
+    ncc_max,
+    retrieve_best,
+    subsample_pool,
+)
 
 
 def win(sid, start, inp, fut=(0.0, 0.0)):
@@ -161,6 +172,122 @@ class TestRetrieveBest:
         pool = CandidatePool(domain="d", entries=[win("o", 0, np.ones(4))])
         with pytest.raises(ZeroNormVectorError):
             retrieve_best(win("q", 0, np.zeros(4)), pool)
+
+
+def oracle_best(query, entries):
+    """Exhaustive direct-sum retrieval: (index, score, lag), lowest index on ties."""
+    best = (-1, -np.inf, 0)
+    for i, e in enumerate(entries):
+        if e.series_id == query.series_id:
+            continue
+        score, lag = ncc_direct(query.input, e.input)
+        if score > best[1]:
+            best = (i, score, lag)
+    return best
+
+
+def filler(rng, query, n, length, below):
+    """``n`` other-series entries that each score below ``below`` against the query."""
+    out = []
+    while len(out) < n:
+        cand = rng.normal(size=length)
+        if ncc_direct(query.input, cand)[0] < below:
+            out.append(win(f"f{len(out) % 7}", len(out), cand))
+    return out
+
+
+class TestRetrieveBestAcrossBlocks:
+    """Pools spanning several ``_CHUNK_ROWS`` blocks, ending in a partial one."""
+
+    def assert_matches_oracle(self, query, entries):
+        assert len(entries) > 2 * _CHUNK_ROWS and len(entries) % _CHUNK_ROWS
+        idx, score, lag = oracle_best(query, entries)
+        best, sim = retrieve_best(query, CandidatePool(domain="d", entries=entries))
+        assert sim.candidate_index == idx
+        assert best is entries[idx]
+        assert sim.best_lag == lag
+        assert abs(sim.score - score) < 1e-9
+        return sim
+
+    @pytest.mark.parametrize("n", [150, 173, 200])
+    def test_random_pool_with_planted_duplicates(self, n):
+        rng = np.random.default_rng(n)
+        L = 24
+        query = win("q", 0, rng.normal(size=L))
+        entries = [win(f"c{i % 9}", i, rng.normal(size=L)) for i in range(n)]
+        # the strongest candidate twice, in different blocks: the first wins
+        strong = np.roll(query.input, 3) + 0.1 * rng.normal(size=L)
+        entries[_CHUNK_ROWS - 5] = win("a", 0, strong)
+        entries[2 * _CHUNK_ROWS + 7] = win("b", 0, strong.copy())
+        # copies of the query from its own series, one in the partial block
+        for i in (3, _CHUNK_ROWS, n - 1):
+            entries[i] = win("q", i, query.input.copy())
+        sim = self.assert_matches_oracle(query, entries)
+        assert sim.candidate_index == _CHUNK_ROWS - 5
+
+    def test_tie_between_lag_zero_and_negative_lag_goes_to_zero(self):
+        # cc([1, 0], [1, 1]) is 1 at lags -1 and 0; the FFT is exact at L = 2
+        rng = np.random.default_rng(1)
+        query = win("q", 0, [1.0, 0.0])
+        entries = filler(rng, query, 170, 2, below=0.6)
+        for i in (0, 2 * _CHUNK_ROWS, 169):
+            entries[i] = win("q", i, [1.0, 0.0])
+        entries[_CHUNK_ROWS + 1] = win("w", 0, [1.0, 1.0])
+        entries[2 * _CHUNK_ROWS + 3] = win("w", 1, [2.0, 2.0])
+        sim = self.assert_matches_oracle(query, entries)
+        assert (sim.candidate_index, sim.best_lag) == (_CHUNK_ROWS + 1, 0)
+
+    def test_tie_between_opposite_lags_goes_to_negative(self):
+        # cc([1, -1], [-1, 1]) is 1 at lags -1 and +1 and -2 at lag 0
+        rng = np.random.default_rng(2)
+        query = win("q", 0, [1.0, -1.0])
+        entries = filler(rng, query, 190, 2, below=0.45)
+        for i in (5, _CHUNK_ROWS + 9, 189):
+            entries[i] = win("q", i, [1.0, -1.0])
+        entries[2 * _CHUNK_ROWS] = win("w", 0, [-1.0, 1.0])
+        entries[2 * _CHUNK_ROWS + 40] = win("w", 1, [-0.5, 0.5])
+        sim = self.assert_matches_oracle(query, entries)
+        assert (sim.candidate_index, sim.best_lag) == (2 * _CHUNK_ROWS, -1)
+
+
+def test_concurrent_first_touch_builds_spectra_once(monkeypatch):
+    rng = np.random.default_rng(31)
+    pool = CandidatePool(
+        domain="d", entries=[win(f"c{i}", i, rng.normal(size=32)) for i in range(40)]
+    )
+    n_threads = 4  # more threads than the CPUs of a small test host
+    queries = [win("q", i, rng.normal(size=32)) for i in range(n_threads)]
+    real_rfft = np.fft.rfft
+    pool_builds = []
+
+    def slow_rfft(a, *args, **kwargs):
+        if np.ndim(a) == 2:  # the pool's spectra, not a query's
+            pool_builds.append(1)
+            time.sleep(0.05)  # widen the window in which a second build could start
+        return real_rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", slow_rfft)
+    start = threading.Barrier(n_threads)
+    results = [None] * n_threads
+
+    def touch(k):
+        start.wait(timeout=10)
+        results[k] = retrieve_best(queries[k], pool)[1]
+
+    threads = [threading.Thread(target=touch, args=(k,)) for k in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(pool_builds) == 1
+    for k in range(n_threads):
+        assert results[k] == retrieve_best(queries[k], pool)[1]
 
 
 class TestSubsample:
