@@ -22,7 +22,13 @@ import numpy as np
 
 from . import _kernels
 from .dataset import LabeledSeries, Window, load_dataset, make_windows, standardize
-from .errors import ConfigError, EmptyTrainingSetError, InvalidFractionError, RatfmError
+from .errors import (
+    ConfigError,
+    DatasetError,
+    EmptyTrainingSetError,
+    InvalidFractionError,
+    RatfmError,
+)
 from .forecast import (
     Budget,
     ExampleCopyForecaster,
@@ -35,7 +41,15 @@ from .forecast import (
     zero_shot_context,
 )
 from .metrics import EvalReport, GroundTruth, ScoreDump, pointwise_prf, vus
-from .retrieval import CandidatePool, ncc_max, retrieve_best, subsample_pool
+from .retrieval import (
+    CandidatePool,
+    best_candidate,
+    candidate_scores,
+    ncc_max,
+    retrieve_best,
+    subsample_indices,
+    subsample_pool,
+)
 from .scoring import (
     ScoreSeries,
     anomaly_scores,
@@ -178,11 +192,17 @@ def _synth_from_dict(raw: dict) -> SynthSpec:
 
 @dataclass
 class PreparedRun:
-    """Standardized series, per-series periods, and per-domain pools."""
+    """Standardized series, per-series periods, and per-domain pools.
+
+    ``_examples`` holds each series' retrieved examples, filled lazily
+    by :func:`_retrieved` so that every consumer of the run retrieves a
+    window's example once.
+    """
 
     series: list[LabeledSeries]
     periods: dict[str, int]
     pools: dict[str, CandidatePool]
+    _examples: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _load_series(config: ExperimentConfig) -> list[LabeledSeries]:
@@ -204,8 +224,15 @@ def prepare_run(config: ExperimentConfig) -> PreparedRun:
     )
     series = []
     periods = {}
+    paths: dict[str, str] = {}
     by_domain: dict[str, list[Window]] = {}
     for raw in _load_series(config):
+        # retrieved examples are cached by series id
+        if raw.id in paths:
+            raise DatasetError(
+                f"duplicate series id {raw.id!r}: {paths[raw.id]} and {raw.source_path}"
+            )
+        paths[raw.id] = raw.source_path
         std, _ = standardize(raw)
         series.append(std)
         source = std.train_values if config.period_source == "train" else std.test_values
@@ -235,6 +262,55 @@ def _retrieval_query(window: Window, example_len: int) -> Window:
     )
 
 
+def _eval_stride(config: ExperimentConfig) -> int:
+    if config.eval_stride is not None:
+        return config.eval_stride
+    return config.budget.horizon
+
+
+def _windows(
+    config: ExperimentConfig, series: LabeledSeries, region: str
+) -> list[Window]:
+    """Windows of a whole budget's input, ``eval_stride`` apart."""
+    te, h, tt = config.budget
+    return make_windows(series, region, te + h + tt, h, _eval_stride(config))
+
+
+def _pool(data: PreparedRun, series: LabeledSeries) -> CandidatePool:
+    pool = data.pools.get(series.domain)
+    if pool is None:
+        raise RatfmError(f"no retrieval pool for domain {series.domain!r}")
+    return pool
+
+
+def _retrieved(
+    config: ExperimentConfig, data: PreparedRun, series: LabeledSeries, region: str
+) -> tuple[list[Window], list[Window | str]]:
+    """A series' windows in ``region`` and the example retrieved for each.
+
+    An example is the pool entry :func:`retrieve_best` returns for the
+    window's query, or the message of the :class:`RatfmError` it raised.
+    Examples are retrieved once per prepared run, series, region and
+    window geometry (budget and eval stride) and reused by later calls.
+    No lock is held while retrieving: series ids are unique, so two
+    threads fill the same entry only when two runs share ``data`` at
+    once, and both then store the same examples.
+    """
+    windows = _windows(config, series, region)
+    key = (series.id, region, config.budget, _eval_stride(config))
+    examples = data._examples.get(key)
+    if examples is None:
+        examples = []
+        for w in windows:
+            try:
+                query = _retrieval_query(w, config.budget.example_len)
+                examples.append(retrieve_best(query, _pool(data, series))[0])
+            except RatfmError as exc:
+                examples.append(str(exc))
+        data._examples[key] = examples
+    return windows, examples
+
+
 def _map(config: ExperimentConfig, fn, items: list) -> list:
     """``[fn(x) for x in items]``, on ``config.workers`` threads when > 1.
 
@@ -251,31 +327,23 @@ def _map(config: ExperimentConfig, fn, items: list) -> list:
 def _train_forecaster(
     config: ExperimentConfig, data: PreparedRun
 ) -> tuple[LinearForecaster, dict]:
-    """Fit the linear forecaster on retrieval-augmented training contexts."""
-    budget = config.budget
-    te, h, tt = budget
-    stride = config.eval_stride if config.eval_stride is not None else h
-    total = budget.total
-    jobs = []
+    """Fit the linear forecaster on retrieval-augmented training contexts.
+
+    Windows whose retrieval failed are left out.
+    """
+
+    def series_contexts(series: LabeledSeries) -> list:
+        windows, examples = _retrieved(config, data, series, "train")
+        return [
+            assemble_context(w, example, config.budget)
+            for w, example in zip(windows, examples)
+            if not isinstance(example, str)
+        ]
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for series in data.series:
-            pool = data.pools.get(series.domain)
-            if pool is not None:
-                jobs.append((pool, make_windows(series, "train", total, h, stride)))
-
-    def job_contexts(job: tuple[CandidatePool, list[Window]]) -> list:
-        pool, wins = job
-        out = []
-        for w in wins:
-            try:
-                example, _ = retrieve_best(_retrieval_query(w, te), pool)
-            except RatfmError:
-                continue
-            out.append(assemble_context(w, example, budget))
-        return out
-
-    contexts = [ctx for ctxs in _map(config, job_contexts, jobs) for ctx in ctxs]
+        per_series = _map(config, series_contexts, data.series)
+    contexts = [ctx for ctxs in per_series for ctx in ctxs]
     try:
         forecaster, report = train_linear(contexts, config.ridge_reg)
     except EmptyTrainingSetError as exc:
@@ -296,14 +364,15 @@ def _eval_series(
     config: ExperimentConfig,
     setting: str,
     period: int,
-    pool: CandidatePool | None,
+    windows: list[Window],
+    examples: list[Window | str] | None,
     trained: Forecaster | None,
 ) -> tuple[dict, ScoreDump]:
+    """Score one series from its test windows and, for the retrieval
+    settings, their examples as :func:`_retrieved` returns them."""
     budget = config.budget
-    te, h, tt = budget
+    h = budget.horizon
     total = budget.total
-    stride = config.eval_stride if config.eval_stride is not None else h
-    windows = make_windows(series, "test", total, h, stride)
     if not windows:
         raise RatfmError("test region too short for the configured budget")
 
@@ -318,14 +387,13 @@ def _eval_series(
     test_len = len(series.values) - series.train_end
     acc = np.zeros(test_len)
     cnt = np.zeros(test_len, dtype=np.int64)
-    for w in windows:
-        if setting == "zero_shot_naive":
+    for i, w in enumerate(windows):
+        if examples is None:
             ctx = zero_shot_context(w, budget)
+        elif isinstance(examples[i], str):
+            raise RatfmError(examples[i])
         else:
-            if pool is None:
-                raise RatfmError(f"no retrieval pool for domain {series.domain!r}")
-            example, _ = retrieve_best(_retrieval_query(w, te), pool)
-            ctx = assemble_context(w, example, budget)
+            ctx = assemble_context(w, examples[i], budget)
         predicted = forecast(forecaster, ctx)
         window_scores = anomaly_scores(predicted, w.future).scores
         local = w.start + total - series.train_end
@@ -383,11 +451,13 @@ def run_setting(
 ) -> EvalReport:
     """Evaluate one pipeline setting over the whole dataset.
 
-    ``data`` and ``trained`` allow sweeps to reuse prepared pools and an
-    already-fitted forecaster.
+    ``data`` lets several settings share one prepared run: a test
+    window's example is retrieved once per run and window geometry, so
+    ``ratfm_copy``, ``ratfm_linear`` and :func:`similarity_diagnostics`
+    on the same ``data`` retrieve it once between them.  ``trained``
+    reuses an already-fitted linear forecaster.
     """
-    if setting not in SETTINGS:
-        raise ConfigError(f"unknown setting {setting!r}; pick one of {SETTINGS}")
+    _check_setting(setting)
     config.validate()
     if data is None:
         data = prepare_run(config)
@@ -395,11 +465,42 @@ def run_setting(
     if setting == "ratfm_linear" and trained is None:
         trained, report.training = _train_forecaster(config, data)
 
+    def retrieved(series: LabeledSeries):
+        if setting == "zero_shot_naive":
+            return _windows(config, series, "test"), None
+        return _retrieved(config, data, series, "test")
+
+    return _evaluate(report, config, data, trained, retrieved)
+
+
+def _check_setting(setting: str) -> None:
+    if setting not in SETTINGS:
+        raise ConfigError(f"unknown setting {setting!r}; pick one of {SETTINGS}")
+
+
+def _evaluate(
+    report: EvalReport,
+    config: ExperimentConfig,
+    data: PreparedRun,
+    trained: Forecaster | None,
+    retrieved,
+) -> EvalReport:
+    """Fill and finalize ``report`` with every series of ``data``.
+
+    ``retrieved(series)`` gives the series' test windows and examples.
+    """
+
     def eval_one(series: LabeledSeries):
-        pool = data.pools.get(series.domain)
         try:
+            windows, examples = retrieved(series)
             rec, dump = _eval_series(
-                series, config, setting, data.periods[series.id], pool, trained
+                series,
+                config,
+                report.setting,
+                data.periods[series.id],
+                windows,
+                examples,
+                trained,
             )
             return series.id, rec, dump, None
         except RatfmError as exc:
@@ -416,7 +517,7 @@ def run_setting(
         report.per_series[sid] = rec
         report.score_dumps[sid] = dump
     if not report.per_series:
-        warnings.warn("run evaluated zero series", stacklevel=2)
+        warnings.warn("run evaluated zero series", stacklevel=3)
     report.finalize(
         bootstrap_iterations=config.bootstrap_iterations, seed=config.seed
     )
@@ -443,11 +544,18 @@ def sweep_pool_fraction(
     fractions: list[float] | None = None,
     setting: str = "ratfm_copy",
 ) -> SweepResult:
-    """Re-run retrieval with subsampled candidate pools.
+    """Evaluate ``setting`` with the candidate pools subsampled to each fraction.
 
-    The forecaster (for the linear setting) is trained once on the full
-    pools and reused; only retrieval changes between fractions.
+    A fraction's report equals :func:`run_setting` on pools passed
+    through :func:`subsample_pool` (seeded by ``config.seed``), but the
+    retrieval is done once for all fractions: each test query is scored
+    against the full pool (:func:`candidate_scores`), and a fraction's
+    example is the best of those scores over the entries that fraction
+    keeps (:func:`subsample_indices`), ties going to the lowest index as
+    in the subsampled pool.  The forecaster (for the linear setting) is
+    trained once on the full pools and reused.
     """
+    _check_setting(setting)
     config.validate()
     fractions = list(fractions if fractions is not None else config.fractions)
     for f in fractions:
@@ -457,14 +565,49 @@ def sweep_pool_fraction(
     trained = None
     if setting == "ratfm_linear":
         trained, _ = _train_forecaster(config, data)
+    kept = {
+        dom: {f: subsample_indices(len(pool), f, config.seed) for f in fractions}
+        for dom, pool in data.pools.items()
+    }
+
+    def retrieve_series(series: LabeledSeries):
+        """(test windows, {fraction: examples}) for one series."""
+        windows = _windows(config, series, "test")
+        if setting == "zero_shot_naive":
+            return windows, dict.fromkeys(fractions)
+        examples = {f: [] for f in fractions}
+        for w in windows:
+            query = _retrieval_query(w, config.budget.example_len)
+            try:
+                pool = _pool(data, series)
+                scores = candidate_scores(query, pool)
+            except RatfmError as exc:
+                for found in examples.values():
+                    found.append(str(exc))
+                continue
+            for f, found in examples.items():
+                idx = kept[series.domain][f]
+                try:
+                    best = idx[best_candidate(scores[idx], query, pool)]
+                    found.append(pool.entries[best])
+                except RatfmError as exc:
+                    found.append(str(exc))
+        return windows, examples
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        per_series = dict(
+            zip([s.id for s in data.series], _map(config, retrieve_series, data.series))
+        )
     result = SweepResult(setting=setting, rows=[])
     for fraction in fractions:
-        pools = {
-            dom: subsample_pool(pool, fraction, config.seed)
-            for dom, pool in data.pools.items()
-        }
-        data_f = PreparedRun(series=data.series, periods=data.periods, pools=pools)
-        report = run_setting(config, setting, data=data_f, trained=trained)
+
+        def retrieved(series: LabeledSeries, fraction=fraction):
+            windows, examples = per_series[series.id]
+            return windows, examples[fraction]
+
+        report = EvalReport(setting=setting, config=config.to_dict())
+        _evaluate(report, config, data, trained, retrieved)
         result.reports[fraction] = report
         for domain, rec in report.per_domain.items():
             result.rows.append((fraction, domain, rec["vus_roc"], rec["n_series"]))
@@ -506,26 +649,25 @@ def similarity_diagnostics(
     input segment aligned with the example-future position, and (c) the
     best lag-0 match among all horizon-length segments of the input's
     leading example-shaped portion.  All similarities are lag-0
-    normalized correlations; (c) >= (b) by construction.
+    normalized correlations; (c) >= (b) by construction.  A window whose
+    retrieval or similarity fails is left out.
+
+    Examples come from the same per-run cache as :func:`run_setting`, so
+    after a retrieval setting ran on ``data`` nothing is retrieved again.
+    Series are spread over ``config.workers`` threads; the sums run in
+    series order, so the result does not depend on the worker count.
     """
     config.validate()
     if data is None:
         data = prepare_run(config)
     te, h, tt = config.budget
-    total = config.budget.total
-    stride = config.eval_stride if config.eval_stride is not None else h
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
-    for series in data.series:
-        pool = data.pools.get(series.domain)
-        if pool is None:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            windows = make_windows(series, "test", total, h, stride)
-        for w in windows:
+
+    def series_similarities(series: LabeledSeries) -> list[tuple[float, float, float]]:
+        out = []
+        for w, example in zip(*_retrieved(config, data, series, "test")):
+            if isinstance(example, str):
+                continue
             try:
-                example, _ = retrieve_best(_retrieval_query(w, te), pool)
                 a = ncc_max(example.future, w.future, lag_zero_only=True).score
                 b = ncc_max(w.input[te : te + h], w.future, lag_zero_only=True).score
                 c, _off = _kernels.lag0_scan(w.input[: te + h], w.future)
@@ -533,9 +675,19 @@ def similarity_diagnostics(
                 continue
             if c < -1.0:
                 continue
-            dom = series.domain
+            out.append((a, b, c))
+        return out
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        per_series = _map(config, series_similarities, data.series)
+    sums: dict[str, np.ndarray] = {}
+    counts: dict[str, int] = {}
+    for series, sims in zip(data.series, per_series):
+        dom = series.domain
+        for abc in sims:
             sums.setdefault(dom, np.zeros(3))
-            sums[dom] += (a, b, c)
+            sums[dom] += abc
             counts[dom] = counts.get(dom, 0) + 1
 
     per_domain = {}

@@ -6,10 +6,12 @@ product of the full-vector Euclidean norms: the shape-based distance of
 k-Shape, computed with FFTs as in MASS.
 
 Retrieval is max-first.  Each candidate is scored by the plain maximum
-of its correlation sequence, computed over the pool in fixed blocks of
-rows so the temporaries stay small.  The lag tie rule (smaller
-``|lag|``, then the negative lag) changes only which lag is reported,
-never a candidate's score, so it runs once, on the winner's row.
+of its correlation sequence, computed over the usable rows of the pool
+in fixed blocks so the temporaries stay small (:func:`candidate_scores`),
+and the winner is the highest score (:func:`best_candidate`).  The lag
+tie rule (smaller ``|lag|``, then the negative lag) changes only which
+lag is reported, never a candidate's score, so it runs once, on the
+winner's row.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class SimilarityResult:
     candidate_index: int = -1
 
 
-# rows of the pool correlated per block in retrieve_best
+# rows of the pool correlated per block in candidate_scores
 _CHUNK_ROWS = 64
 
 
@@ -150,17 +152,21 @@ def ncc_max(
     )
 
 
-def retrieve_best(
-    query: Window, pool: CandidatePool
-) -> tuple[Window, SimilarityResult]:
-    """Pool entry maximizing :func:`ncc_max` against the query input.
+def _no_candidate(query: Window, pool: CandidatePool) -> EmptyPoolError:
+    return EmptyPoolError(
+        f"pool for domain {pool.domain!r} has no candidate outside "
+        f"series {query.series_id!r}"
+    )
 
-    Every candidate is scored by the maximum of its cross-correlation
-    over all lags, divided by the two norms; the pool is correlated in
-    blocks of ``_CHUNK_ROWS`` rows.  Entries from the query's own series
-    and all-zero entries are skipped, and ties between candidates go to
-    the lowest pool index.  The lag tie rule of :func:`ncc_max` runs on
-    the winner's row only, since it never changes a score.
+
+def candidate_scores(query: Window, pool: CandidatePool) -> np.ndarray:
+    """Every pool entry's :func:`ncc_max` score against the query input.
+
+    A candidate's score is the maximum of its cross-correlation over all
+    lags, divided by the two norms.  Entries from the query's own series
+    and all-zero entries score ``-inf`` and are never correlated; the
+    others are correlated in blocks of ``_CHUNK_ROWS`` rows.  Raises the
+    errors of :func:`retrieve_best`, including when no entry is usable.
     """
     if not pool.entries:
         raise EmptyPoolError(f"pool for domain {pool.domain!r} is empty")
@@ -176,30 +182,54 @@ def retrieve_best(
     qnorm = float(np.linalg.norm(q))
     if qnorm == 0.0:
         raise ZeroNormVectorError("query window is all-zero")
-    # exclude the query's own series and zero-norm candidates
-    usable = (norms > 0.0) & (series_ids != query.series_id)
-    if not usable.any():
-        raise EmptyPoolError(
-            f"pool for domain {pool.domain!r} has no candidate outside "
-            f"series {query.series_id!r}"
-        )
+    rows = np.flatnonzero((norms > 0.0) & (series_ids != query.series_id))
+    if not len(rows):
+        raise _no_candidate(query, pool)
 
     nfft = _fft_size(L)
     fq = np.fft.rfft(q, nfft)
     spectra = pool._conj_spectra(nfft)
-    peaks = np.empty(len(norms))
-    for lo in range(0, len(norms), _CHUNK_ROWS):
+    scores = np.full(len(norms), -np.inf)
+    for lo in range(0, len(rows), _CHUNK_ROWS):
+        block = rows[lo : lo + _CHUNK_ROWS]
         # circular lags 0..L-1 sit at the front, -(L-1)..-1 at the back
-        circ = np.fft.irfft(fq * spectra[lo : lo + _CHUNK_ROWS], nfft, axis=1)
-        np.maximum(
-            circ[:, :L].max(axis=1),
-            circ[:, nfft - L + 1 :].max(axis=1),
-            out=peaks[lo : lo + _CHUNK_ROWS],
-        )
-    scores = np.where(usable, peaks / (qnorm * norms), -np.inf)
-    idx = int(np.argmax(scores))
+        prod = spectra[block]
+        circ = np.fft.irfft(np.multiply(fq, prod, out=prod), nfft, axis=1)
+        peaks = np.maximum(circ[:, :L].max(axis=1), circ[:, nfft - L + 1 :].max(axis=1))
+        scores[block] = peaks / (qnorm * norms[block])
+    return scores
 
-    circ = np.fft.irfft(fq * spectra[idx : idx + 1], nfft, axis=1)
+
+def best_candidate(scores: np.ndarray, query: Window, pool: CandidatePool) -> int:
+    """Index of the highest of ``scores``, the lowest index on ties.
+
+    ``scores`` comes from :func:`candidate_scores` for ``query`` and
+    ``pool``, possibly restricted to a subset of the pool's rows; raises
+    :class:`EmptyPoolError` when every one of them is ``-inf``.
+    """
+    idx = int(np.argmax(scores))
+    if scores[idx] == -np.inf:
+        raise _no_candidate(query, pool)
+    return idx
+
+
+def retrieve_best(
+    query: Window, pool: CandidatePool
+) -> tuple[Window, SimilarityResult]:
+    """Pool entry maximizing :func:`ncc_max` against the query input.
+
+    Candidates are scored by :func:`candidate_scores`: entries from the
+    query's own series and all-zero entries are skipped, and ties
+    between candidates go to the lowest pool index.  The lag tie rule of
+    :func:`ncc_max` runs on the winner's row only, since it never
+    changes a score.
+    """
+    scores = candidate_scores(query, pool)
+    idx = best_candidate(scores, query, pool)
+    L = len(query.input)
+    nfft = _fft_size(L)
+    fq = np.fft.rfft(np.asarray(query.input, dtype=np.float64), nfft)
+    circ = np.fft.irfft(fq * pool._conj_spectra(nfft)[idx : idx + 1], nfft, axis=1)
     cc = np.concatenate((circ[:, nfft - L + 1 :], circ[:, :L]), axis=1)
     result = SimilarityResult(
         score=float(np.clip(scores[idx], -1.0, 1.0)),
@@ -209,24 +239,33 @@ def retrieve_best(
     return pool.entries[idx], result
 
 
+def subsample_indices(n: int, fraction: float, seed: int) -> np.ndarray:
+    """Sorted indices of the ``ceil(fraction * n)`` entries a subsample keeps.
+
+    Drawn uniformly without replacement, reproducibly for a fixed seed;
+    ``fraction=1.0`` keeps every index.
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise InvalidFractionError(f"fraction must be in (0, 1], got {fraction}")
+    if fraction == 1.0 or n == 0:
+        return np.arange(n)
+    k = max(1, math.ceil(fraction * n))
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.choice(n, size=k, replace=False))
+
+
 def subsample_pool(pool: CandidatePool, fraction: float, seed: int) -> CandidatePool:
-    """Uniform sample without replacement of ``ceil(fraction * N)`` entries.
+    """Pool of the entries :func:`subsample_indices` keeps, in their order.
 
     Selection is reproducible for a fixed seed and preserves the original
     entry order; ``fraction=1.0`` returns an identical pool.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise InvalidFractionError(f"fraction must be in (0, 1], got {fraction}")
-    n = len(pool.entries)
-    if fraction == 1.0 or n == 0:
-        entries = list(pool.entries)
-    else:
-        k = max(1, math.ceil(fraction * n))
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(n, size=k, replace=False))
-        entries = [pool.entries[i] for i in idx]
+    idx = subsample_indices(len(pool.entries), fraction, seed)
     return CandidatePool(
-        domain=pool.domain, entries=entries, fraction=fraction, seed=seed
+        domain=pool.domain,
+        entries=[pool.entries[i] for i in idx],
+        fraction=fraction,
+        seed=seed,
     )
 
 

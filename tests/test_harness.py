@@ -1,22 +1,27 @@
+import collections
 import dataclasses
 import json
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import ratfm.harness as harness
-from ratfm.errors import ConfigError, InvalidFractionError
+import ratfm.retrieval as retrieval
+from ratfm.errors import ConfigError, DatasetError, InvalidFractionError
 from ratfm.forecast import Budget
 from ratfm.harness import (
     ExperimentConfig,
+    PreparedRun,
     emit_reports,
     prepare_run,
     run_setting,
     similarity_diagnostics,
     sweep_pool_fraction,
 )
-from ratfm.synth import DomainTemplate, SynthSpec
+from ratfm.retrieval import subsample_pool
+from ratfm.synth import DomainTemplate, SynthSpec, write_synthetic
 
 # small desk-scale benchmark reused across tests
 BUDGET = Budget(64, 16, 64)
@@ -28,6 +33,36 @@ SPEC = SynthSpec(
     noise_std=0.02,
     seed=13,
 )
+
+
+def subsampled(data, fraction, seed):
+    """``data`` with every pool passed through ``subsample_pool``."""
+    pools = {dom: subsample_pool(p, fraction, seed) for dom, p in data.pools.items()}
+    return PreparedRun(series=data.series, periods=data.periods, pools=pools)
+
+
+def retrieval_queries(cfg, data):
+    """(series id, query start) of every test window's retrieval query."""
+    te = cfg.budget.example_len
+    return {
+        (s.id, harness._retrieval_query(w, te).start)
+        for s in data.series
+        for w in harness._windows(cfg, s, "test")
+    }
+
+
+def spy_scores(monkeypatch):
+    """List that records (series id, query start) per candidate_scores call."""
+    calls = []
+    real = retrieval.candidate_scores
+
+    def spy(query, pool):
+        calls.append((query.series_id, query.start))
+        return real(query, pool)
+
+    monkeypatch.setattr(retrieval, "candidate_scores", spy)
+    monkeypatch.setattr(harness, "candidate_scores", spy)
+    return calls
 
 
 def config(**overrides):
@@ -81,6 +116,58 @@ class TestConfig:
     def test_snapshot_excludes_out_dir(self):
         snap = config(out_dir="/somewhere").to_dict()
         assert "out_dir" not in snap
+
+
+class TestPrepareRun:
+    def test_duplicate_series_ids_rejected(self, tmp_path):
+        # the same file name in two subdirectories would share one id
+        spec = dataclasses.replace(SPEC, domains=1, series_per_domain=2)
+        name = write_synthetic(spec, tmp_path / "a")[0].name
+        write_synthetic(spec, tmp_path / "b")
+        with pytest.raises(DatasetError) as err:
+            prepare_run(config(synth=None, dataset_root=str(tmp_path)))
+        assert str(tmp_path / "a" / name) in str(err.value)
+        assert str(tmp_path / "b" / name) in str(err.value)
+
+
+class TestSharedRetrieval:
+    """Every consumer of a prepared run scores a test query once."""
+
+    def test_copy_linear_diagnostics_score_each_test_window_once(self, monkeypatch):
+        # more workers than a small host's CPUs, switching threads often
+        cfg = config(workers=4)
+        data = prepare_run(cfg)
+        calls = spy_scores(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_setting(cfg, "ratfm_copy", data=data)
+            run_setting(cfg, "ratfm_linear", data=data)
+            similarity_diagnostics(cfg, data=data)
+        finally:
+            sys.setswitchinterval(interval)
+        counts = collections.Counter(calls)
+        assert retrieval_queries(cfg, data) <= set(counts)
+        assert max(counts.values()) == 1  # training queries included
+
+    def test_sweep_scores_each_test_window_once(self, monkeypatch):
+        cfg = config(workers=2)
+        queries = retrieval_queries(cfg, prepare_run(cfg))
+        calls = spy_scores(monkeypatch)
+        sweep_pool_fraction(cfg, [1.0, 0.75, 0.5, 0.25])
+        assert collections.Counter(calls) == dict.fromkeys(queries, 1)
+
+    @pytest.mark.parametrize("setting", ["ratfm_copy", "ratfm_linear"])
+    def test_other_eval_stride_on_the_same_run_equals_a_fresh_run(self, setting):
+        cfg = config()
+        data = prepare_run(cfg)
+        run_setting(cfg, setting, data=data)
+        similarity_diagnostics(cfg, data=data)
+        dense = config(eval_stride=8)
+        shared = run_setting(dense, setting, data=data).to_json()
+        assert shared == run_setting(dense, setting).to_json()
+        shared = similarity_diagnostics(dense, data=data).to_dict()
+        assert shared == similarity_diagnostics(dense).to_dict()
 
 
 class TestRunSetting:
@@ -145,8 +232,8 @@ class TestRunSetting:
     def test_workers_do_not_change_retrieval_results(self, setting):
         # ratfm_linear also pins the order of the parallel training contexts
         seq = run_setting(config(), setting).to_json()
-        par = run_setting(config(workers=2), setting).to_json()
-        assert seq == par
+        for workers in (2, 4):
+            assert run_setting(config(workers=workers), setting).to_json() == seq
 
     @pytest.mark.parametrize("setting", ["zero_shot_naive", "ratfm_linear"])
     def test_workers_leave_warning_filters_alone(self, setting):
@@ -244,6 +331,70 @@ class TestSweep:
         with pytest.raises(InvalidFractionError):
             sweep_pool_fraction(config(), [0.0])
 
+    @pytest.mark.parametrize("setting", ["ratfm_copy", "ratfm_linear"])
+    def test_matches_run_setting_on_subsampled_pools(self, setting):
+        cfg = config()
+        fractions = [0.75, 0.5, 0.25]
+        sweep = sweep_pool_fraction(cfg, fractions, setting=setting)
+        data = prepare_run(cfg)
+        trained = None
+        if setting == "ratfm_linear":
+            trained, _ = harness._train_forecaster(cfg, data)
+        for f in fractions:
+            sub = subsampled(data, f, cfg.seed)
+            expected = run_setting(cfg, setting, data=sub, trained=trained).to_json()
+            assert sweep.reports[f].to_json() == expected
+        assert len({sweep.reports[f].to_json() for f in fractions}) == len(fractions)
+
+    def test_one_series_domain_is_skipped(self, tmp_path):
+        spec = dataclasses.replace(SPEC, series_per_domain=2)
+        paths = write_synthetic(spec, tmp_path)
+        lone, gone = [p for p in paths if "_dom1_" in p.name]
+        gone.unlink()
+        cfg = config(synth=None, dataset_root=str(tmp_path), bootstrap_iterations=0)
+        message = (
+            f"pool for domain 'dom1' has no candidate outside series {lone.stem!r}"
+        )
+        sweep = sweep_pool_fraction(cfg, [1.0, 0.5])
+        for report in (*sweep.reports.values(), run_setting(cfg, "ratfm_copy")):
+            assert report.skipped == {lone.stem: message}
+            assert len(report.per_series) == 2
+        data = prepare_run(cfg)
+        diag = similarity_diagnostics(cfg, data=data)
+        assert set(diag.per_domain) == {"dom0"}
+        dom0 = [s for s in data.series if s.domain == "dom0"]
+        assert diag.overall["n_windows"] == sum(
+            len(harness._windows(cfg, s, "test")) for s in dom0
+        )
+
+    def test_fraction_without_a_usable_row(self):
+        cfg = config(bootstrap_iterations=0)
+        data = prepare_run(cfg)
+        fraction = 0.001  # keeps one entry per domain
+        sub = subsampled(data, fraction, cfg.seed)
+        assert all(len(pool) == 1 for pool in sub.pools.values())
+        owners = {pool.entries[0].series_id: dom for dom, pool in sub.pools.items()}
+        sweep = sweep_pool_fraction(cfg, [1.0, fraction])
+        report = sweep.reports[fraction]
+        assert report.skipped == {
+            sid: f"pool for domain {dom!r} has no candidate outside series {sid!r}"
+            for sid, dom in owners.items()
+        }
+        assert report.to_json() == run_setting(cfg, "ratfm_copy", data=sub).to_json()
+        assert sweep.reports[1.0].skipped == {}
+        n_windows = {s.id: len(harness._windows(cfg, s, "test")) for s in data.series}
+        full = similarity_diagnostics(cfg, data=data).overall["n_windows"]
+        assert full == sum(n_windows.values())
+        kept = similarity_diagnostics(cfg, data=sub).overall["n_windows"]
+        assert kept == full - sum(n_windows[sid] for sid in owners)
+
+    def test_workers_do_not_change_results(self):
+        seq = sweep_pool_fraction(config(), [1.0, 0.5])
+        par = sweep_pool_fraction(config(workers=4), [1.0, 0.5])
+        assert seq.rows == par.rows
+        for f in (1.0, 0.5):
+            assert seq.reports[f].to_json() == par.reports[f].to_json()
+
 
 class TestDiagnostics:
     def test_best_segment_at_least_aligned(self):
@@ -268,6 +419,11 @@ class TestDiagnostics:
         b = diag.overall["aligned_segment"]
         assert abs(a - b) < 0.05
         assert b > 0.9
+
+    def test_workers_do_not_change_results(self):
+        seq = similarity_diagnostics(config()).to_dict()
+        par = similarity_diagnostics(config(workers=4)).to_dict()
+        assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
 
     def test_csv_output(self, tmp_path):
         diag = similarity_diagnostics(config())

@@ -17,9 +17,12 @@ from ratfm.errors import (
 from ratfm.retrieval import (
     _CHUNK_ROWS,
     CandidatePool,
+    best_candidate,
     build_pool,
+    candidate_scores,
     ncc_max,
     retrieve_best,
+    subsample_indices,
     subsample_pool,
 )
 
@@ -250,6 +253,77 @@ class TestRetrieveBestAcrossBlocks:
         assert (sim.candidate_index, sim.best_lag) == (2 * _CHUNK_ROWS, -1)
 
 
+class TestCandidateScores:
+    def grouped_pool(self, rng, L=40):
+        """Entries grouped by series like a domain pool, with the query's
+        own series spanning whole blocks and a few all-zero entries."""
+        entries = []
+        for sid, n in (("a", 70), ("q", 2 * _CHUNK_ROWS + 5), ("b", 90)):
+            entries += [win(sid, i, rng.normal(size=L)) for i in range(n)]
+        for i in (3, 100, len(entries) - 1):
+            entries[i] = win(entries[i].series_id, i, np.zeros(L))
+        return CandidatePool(domain="d", entries=entries)
+
+    def test_unusable_rows_score_minus_inf_and_the_rest_match_all_rows(self):
+        rng = np.random.default_rng(5)
+        pool = self.grouped_pool(rng)
+        query = win("q", 0, rng.normal(size=40))
+        scores = candidate_scores(query, pool)
+        stack = np.stack([e.input for e in pool.entries])
+        norms = np.linalg.norm(stack, axis=1)
+        usable = (norms > 0) & np.array([e.series_id != "q" for e in pool.entries])
+        assert np.all(scores[~usable] == -np.inf)
+        # the same arithmetic over every row at once
+        L, nfft = 40, 128
+        fq = np.fft.rfft(query.input, nfft)
+        spectra = np.conj(np.fft.rfft(stack, nfft, axis=1))
+        circ = np.fft.irfft(fq * spectra, nfft, axis=1)
+        peaks = np.maximum(circ[:, :L].max(axis=1), circ[:, nfft - L + 1 :].max(axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            full = peaks / (np.linalg.norm(query.input) * norms)
+        assert np.array_equal(scores[usable], full[usable])
+        for i in np.flatnonzero(usable)[::17]:
+            assert abs(scores[i] - ncc_direct(query.input, stack[i])[0]) < 1e-9
+
+    def test_correlates_only_usable_rows_plus_the_winner(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        pool = self.grouped_pool(rng)
+        queries = [win("q", i, rng.normal(size=40)) for i in range(3)]
+        n_usable = sum(
+            e.series_id != "q" and np.any(e.input) for e in pool.entries
+        )
+        retrieve_best(queries[0], pool)  # builds the pool's spectra
+        real_irfft = np.fft.irfft
+        rows = []
+
+        def counting_irfft(a, *args, **kwargs):
+            rows.append(len(a) if np.ndim(a) == 2 else 1)
+            return real_irfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+        for q in queries:
+            rows.clear()
+            candidate_scores(q, pool)
+            assert sum(rows) == n_usable
+            rows.clear()
+            retrieve_best(q, pool)
+            assert sum(rows) == n_usable + 1
+
+    def test_best_candidate_lowest_index_and_no_usable_row(self):
+        pool = CandidatePool(domain="d", entries=[win("o", 0, np.ones(4))])
+        query = win("q", 0, np.ones(4))
+        assert best_candidate(np.array([-np.inf, 0.5, 0.9, 0.9]), query, pool) == 2
+        with pytest.raises(EmptyPoolError, match="no candidate outside series 'q'"):
+            best_candidate(np.full(3, -np.inf), query, pool)
+
+    def test_no_usable_row_raises_before_correlating(self):
+        pool = CandidatePool(
+            domain="d", entries=[win("q", 0, np.ones(4)), win("o", 0, np.zeros(4))]
+        )
+        with pytest.raises(EmptyPoolError, match="domain 'd' has no candidate outside"):
+            candidate_scores(win("q", 1, np.ones(4)), pool)
+
+
 def test_concurrent_first_touch_builds_spectra_once(monkeypatch):
     rng = np.random.default_rng(31)
     pool = CandidatePool(
@@ -326,3 +400,11 @@ class TestSubsample:
         sub = subsample_pool(self._pool(10), 0.11, seed=4)
         assert len(sub) == 2  # ceil(1.1)
         assert sub.fraction == 0.11 and sub.seed == 4
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.75, 0.3, 0.01])
+    def test_indices_are_the_pools_entries(self, fraction):
+        pool = self._pool(40)
+        idx = subsample_indices(len(pool), fraction, seed=9)
+        sub = subsample_pool(pool, fraction, seed=9)
+        assert len(sub.entries) == len(idx)
+        assert all(pool.entries[i] is e for i, e in zip(idx, sub.entries))
