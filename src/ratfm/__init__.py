@@ -28,8 +28,6 @@ from .forecast import (
     TrainingReport,
     assemble_context,
     forecast,
-    forecast_example_copy,
-    forecast_seasonal_naive,
     load_weights,
     save_weights,
     train_linear,
@@ -57,7 +55,6 @@ from .metrics import (
 from .retrieval import (
     CandidatePool,
     SimilarityResult,
-    build_pool,
     ncc_max,
     retrieve_best,
     subsample_pool,
@@ -100,14 +97,11 @@ __all__ = [
     "assemble_context",
     "auc_weighted",
     "bootstrap",
-    "build_pool",
     "continuous_labels",
     "destandardize",
     "emit_reports",
     "estimate_period",
     "forecast",
-    "forecast_example_copy",
-    "forecast_seasonal_naive",
     "generate_synthetic",
     "load_dataset",
     "load_weights",

@@ -1,49 +1,25 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy variants.
+"""Hot numeric kernels in numpy.
 
-Every kernel exists twice: an ``@njit`` implementation and a numpy
-fallback.  The active backend is chosen once at import time: numba is
-used when it is importable and the environment variable
-``RATFM_DISABLE_NUMBA`` is not set to ``1``/``true``/``yes``.
+``sma_trailing`` pins its summation order: each output point's window sum
+is accumulated freshly, from the newest sample backwards.  A running sum
+(cumsum differences) would be O(n) but drifts with round-off, so its
+results would no longer match a literal evaluation of the trailing-mean
+formula bit for bit; the tests and the acceptance criteria require that
+match, so the smoothed scores and every metric built on them are exactly
+reproducible.
 
-The moving-average kernels accumulate window sums freshly per output
-point, walking the window from the newest sample backwards.  Both
-backends follow that exact summation order so they produce bit-identical
-results and match a literal evaluation of the trailing-mean formula.
-
-``benchmarks/bench_kernels.py`` compares the two backends.
+Callers look these functions up as ``_kernels.<name>``, so each can be
+wrapped in one place (for example by a tracer).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-_DISABLED = os.environ.get("RATFM_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
-
-
-def use_numba() -> bool:
-    """True when the numba backend is active for this process."""
-    return _HAVE_NUMBA and not _DISABLED
-
-
-# ---------------------------------------------------------------------------
-# trailing simple moving average
-# ---------------------------------------------------------------------------
-
-
-def _sma_numpy(values: np.ndarray, window: int) -> np.ndarray:
+def sma_trailing(values: np.ndarray, window: int) -> np.ndarray:
+    """Trailing mean over ``window`` points, partial at the head."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
     n = window
     size = values.shape[0]
     out = np.zeros(size, dtype=np.float64)
@@ -55,121 +31,37 @@ def _sma_numpy(values: np.ndarray, window: int) -> np.ndarray:
         out[:head] /= np.arange(1, head + 1, dtype=np.float64)
     if size >= n:
         main = np.zeros(size - n + 1, dtype=np.float64)
-        # full windows: newest sample first, same order as the numba loop
+        # full windows: newest sample first
         for i in range(n):
             main += values[n - 1 - i : size - i]
         out[n - 1 :] = main / n
     return out
 
 
-if _HAVE_NUMBA:
+def best_lag_batch(cc: np.ndarray) -> np.ndarray:
+    """Per row of a (rows, lags) matrix, the index of its maximal entry.
 
-    @njit(cache=True)
-    def _sma_numba(values, window):  # pragma: no cover - exercised via dispatch
-        size = values.shape[0]
-        out = np.empty(size, dtype=np.float64)
-        for t in range(size):
-            count = t + 1
-            if count > window:
-                count = window
-            acc = 0.0
-            for i in range(count):
-                acc += values[t - i]
-            out[t] = acc / count
-        return out
-
-
-def sma_trailing(values: np.ndarray, window: int) -> np.ndarray:
-    """Trailing mean over ``window`` points, partial at the head."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if use_numba():
-        return _sma_numba(values, window)
-    return _sma_numpy(values, window)
-
-
-# ---------------------------------------------------------------------------
-# cross-correlation lag selection
-# ---------------------------------------------------------------------------
-# `cc` holds the zero-padded cross-correlation sequence ordered from lag
-# -(L-1) to +(L-1); index j maps to lag j - (L-1).  Ties are broken toward
-# the smaller |lag|, then toward the negative lag.
-
-
-def _best_lag_numpy(cc: np.ndarray) -> int:
-    half = (cc.shape[0] - 1) // 2
-    lags = np.arange(-half, half + 1)
-    order = np.lexsort((lags >= 0, np.abs(lags)))
-    return int(order[np.argmax(cc[order])])
-
-
-def _best_lag_batch_numpy(cc: np.ndarray) -> np.ndarray:
+    Each row holds a zero-padded cross-correlation sequence ordered from
+    lag -(L-1) to +(L-1); index j maps to lag j - (L-1).  Ties are broken
+    toward the smaller |lag|, then toward the negative lag.
+    """
+    cc = np.asarray(cc, dtype=np.float64)
     half = (cc.shape[1] - 1) // 2
     lags = np.arange(-half, half + 1)
     order = np.lexsort((lags >= 0, np.abs(lags)))
     return order[np.argmax(cc[:, order], axis=1)].astype(np.int64)
 
 
-if _HAVE_NUMBA:
+def weighted_areas(scores_desc: np.ndarray, soft_desc: np.ndarray) -> tuple[float, float]:
+    """(ROC area, PR area) from descending-sorted scores and soft labels.
 
-    @njit(cache=True)
-    def _best_lag_numba(cc):  # pragma: no cover - exercised via dispatch
-        half = (cc.shape[0] - 1) // 2
-        best = -np.inf
-        best_j = 0
-        best_abs = 0
-        best_lag = 0
-        for j in range(cc.shape[0]):
-            lag = j - half
-            alag = lag if lag >= 0 else -lag
-            v = cc[j]
-            take = False
-            if v > best:
-                take = True
-            elif v == best:
-                if alag < best_abs or (alag == best_abs and lag < best_lag):
-                    take = True
-            if take:
-                best = v
-                best_j = j
-                best_abs = alag
-                best_lag = lag
-        return best_j
-
-    @njit(cache=True)
-    def _best_lag_batch_numba(cc):  # pragma: no cover - exercised via dispatch
-        out = np.empty(cc.shape[0], dtype=np.int64)
-        for row in range(cc.shape[0]):
-            out[row] = _best_lag_numba(cc[row])
-        return out
-
-
-def best_lag(cc: np.ndarray) -> int:
-    """Index of the maximal cross-correlation entry under the tie rules."""
-    cc = np.ascontiguousarray(cc, dtype=np.float64)
-    if use_numba():
-        return int(_best_lag_numba(cc))
-    return _best_lag_numpy(cc)
-
-
-def best_lag_batch(cc: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`best_lag` over a (candidates, lags) matrix."""
-    cc = np.ascontiguousarray(cc, dtype=np.float64)
-    if use_numba():
-        return _best_lag_batch_numba(cc)
-    return _best_lag_batch_numpy(cc)
-
-
-# ---------------------------------------------------------------------------
-# soft-weighted ROC / PR areas
-# ---------------------------------------------------------------------------
-# Inputs are already sorted by score, descending.  The sweep visits each
-# block of tied scores once; curves start at the +inf sentinel
-# (TPR=FPR=0, precision=1) and end with every point included.
-
-
-def _weighted_areas_numpy(
-    scores_desc: np.ndarray, soft_desc: np.ndarray
-) -> tuple[float, float]:
+    The sweep visits each block of tied scores once; curves start at the
+    +inf sentinel (TPR=FPR=0, precision=1) and end with every point
+    included.  Requires positive total mass on both ``soft`` and
+    ``1 - soft``; the caller handles the degenerate cases.
+    """
+    scores_desc = np.asarray(scores_desc, dtype=np.float64)
+    soft_desc = np.asarray(soft_desc, dtype=np.float64)
     tp_run = np.cumsum(soft_desc)
     fp_run = np.cumsum(1.0 - soft_desc)
     block_end = np.nonzero(np.append(scores_desc[1:] != scores_desc[:-1], True))[0]
@@ -185,62 +77,18 @@ def _weighted_areas_numpy(
     return roc, pr
 
 
-if _HAVE_NUMBA:
+def lag0_scan(haystack: np.ndarray, needle: np.ndarray) -> tuple[float, int]:
+    """Best lag-0 normalized correlation of ``needle`` over all offsets.
 
-    @njit(cache=True)
-    def _weighted_areas_numba(scores_desc, soft_desc):  # pragma: no cover
-        n = scores_desc.shape[0]
-        pos = 0.0
-        neg = 0.0
-        for i in range(n):
-            pos += soft_desc[i]
-            neg += 1.0 - soft_desc[i]
-        tp = 0.0
-        fp = 0.0
-        prev_tpr = 0.0
-        prev_fpr = 0.0
-        prev_prec = 1.0
-        roc = 0.0
-        pr = 0.0
-        for i in range(n):
-            tp += soft_desc[i]
-            fp += 1.0 - soft_desc[i]
-            if i + 1 < n and scores_desc[i + 1] == scores_desc[i]:
-                continue
-            tpr = tp / pos
-            fpr = fp / neg
-            prec = tp / (tp + fp)
-            roc += (fpr - prev_fpr) * (tpr + prev_tpr) * 0.5
-            pr += (tpr - prev_tpr) * (prec + prev_prec) * 0.5
-            prev_tpr = tpr
-            prev_fpr = fpr
-            prev_prec = prec
-        return roc, pr
-
-
-def weighted_areas(scores_desc: np.ndarray, soft_desc: np.ndarray) -> tuple[float, float]:
-    """(ROC area, PR area) from descending-sorted scores and soft labels.
-
-    Requires positive total mass on both ``soft`` and ``1 - soft``; the
-    caller handles the degenerate cases.
+    Returns (score, offset).  Zero-norm segments score -2.0 so they can
+    never win; a zero-norm needle gives (-2.0, 0).  The caller treats a
+    best score below -1 as "no valid segment".
     """
-    scores_desc = np.ascontiguousarray(scores_desc, dtype=np.float64)
-    soft_desc = np.ascontiguousarray(soft_desc, dtype=np.float64)
-    if use_numba():
-        roc, pr = _weighted_areas_numba(scores_desc, soft_desc)
-        return float(roc), float(pr)
-    return _weighted_areas_numpy(scores_desc, soft_desc)
-
-
-# ---------------------------------------------------------------------------
-# sliding lag-0 normalized correlation scan
-# ---------------------------------------------------------------------------
-# Zero-norm segments score -2.0 so they can never win; the caller treats a
-# best score below -1 as "no valid segment".
-
-
-def _lag0_scan_numpy(haystack: np.ndarray, needle: np.ndarray) -> tuple[float, int]:
+    haystack = np.ascontiguousarray(haystack, dtype=np.float64)
+    needle = np.ascontiguousarray(needle, dtype=np.float64)
     m = needle.shape[0]
+    if haystack.shape[0] < m:
+        raise ValueError("haystack shorter than needle")
     needle_norm = float(np.linalg.norm(needle))
     if needle_norm == 0.0:
         return -2.0, 0
@@ -252,54 +100,3 @@ def _lag0_scan_numpy(haystack: np.ndarray, needle: np.ndarray) -> tuple[float, i
     scores[ok] = dots[ok] / (norms[ok] * needle_norm)
     best = int(np.argmax(scores))
     return float(scores[best]), best
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _lag0_scan_numba(haystack, needle):  # pragma: no cover
-        m = needle.shape[0]
-        nn = 0.0
-        for i in range(m):
-            nn += needle[i] * needle[i]
-        needle_norm = np.sqrt(nn)
-        best = -2.0
-        best_off = 0
-        if needle_norm == 0.0:
-            return best, best_off
-        for off in range(haystack.shape[0] - m + 1):
-            dot = 0.0
-            sq = 0.0
-            for i in range(m):
-                v = haystack[off + i]
-                dot += v * needle[i]
-                sq += v * v
-            if sq == 0.0:
-                continue
-            score = dot / (np.sqrt(sq) * needle_norm)
-            if score > best:
-                best = score
-                best_off = off
-        return best, best_off
-
-
-def lag0_scan(haystack: np.ndarray, needle: np.ndarray) -> tuple[float, int]:
-    """Best lag-0 normalized correlation of ``needle`` over all offsets."""
-    haystack = np.ascontiguousarray(haystack, dtype=np.float64)
-    needle = np.ascontiguousarray(needle, dtype=np.float64)
-    if haystack.shape[0] < needle.shape[0]:
-        raise ValueError("haystack shorter than needle")
-    if use_numba():
-        score, off = _lag0_scan_numba(haystack, needle)
-        return float(score), int(off)
-    return _lag0_scan_numpy(haystack, needle)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of every kernel (no-op on the numpy path)."""
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    sma_trailing(x, 2)
-    best_lag(np.array([0.1, 0.9, 0.1]))
-    best_lag_batch(np.array([[0.1, 0.9, 0.1]]))
-    weighted_areas(np.array([3.0, 2.0, 1.0]), np.array([1.0, 0.5, 0.0]))
-    lag0_scan(x, x[:2])

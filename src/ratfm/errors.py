@@ -2,7 +2,12 @@
 
 All library errors derive from :class:`RatfmError`.  ``DatasetError`` and
 ``ConfigError`` subtrees map to the CLI exit codes 3 and 2 respectively.
+:func:`check_field_types` lets config validation raise a ``ConfigError``
+for a value of the wrong type.
 """
+
+import dataclasses
+from numbers import Integral, Real
 
 
 class RatfmError(Exception):
@@ -100,3 +105,36 @@ class EmptyInputError(RatfmError):
 # harness
 class InvalidSpecError(ConfigError):
     """Synthetic dataset specification is invalid."""
+
+
+# field annotation -> accepted type; other names (nested specs) are not checked
+_SCALARS = {"str": str, "int": Integral, "float": Real}
+
+
+def _has_type(value, kind: str) -> bool:
+    if kind == "Budget":
+        kind = "tuple[int, int, int]"
+    if kind.endswith(" | None"):
+        return value is None or _has_type(value, kind[: -len(" | None")])
+    if kind.startswith("tuple["):
+        items = kind[len("tuple[") : -1].split(", ")
+        if not isinstance(value, tuple):
+            return False
+        if items[-1] == "...":
+            return all(_has_type(v, items[0]) for v in value)
+        return len(value) == len(items) and all(map(_has_type, value, items))
+    if kind == "bool" or isinstance(value, bool):
+        return kind == "bool" and isinstance(value, bool)
+    return isinstance(value, _SCALARS.get(kind, object))
+
+
+def check_field_types(obj, error: type[ConfigError] = ConfigError) -> None:
+    """Raise ``error`` for a field of dataclass ``obj`` that does not hold
+    its annotated type (str, int, float, bool, optional, tuple).
+
+    A bool is not accepted as a number, nor a number as a bool.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not _has_type(value, f.type):
+            raise error(f"{f.name} must be {f.type}, got {value!r}")

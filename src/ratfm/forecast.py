@@ -145,35 +145,21 @@ class Forecaster(ABC):
         raise NotImplementedError
 
 
-def forecast_example_copy(ctx: ContextWindow) -> np.ndarray:
-    """Predict the retrieved example's future verbatim."""
-    if len(ctx.example_future) != ctx.horizon:
-        raise ModeMismatchError("context carries no example future")
-    return ctx.example_future.copy()
-
-
-def forecast_seasonal_naive(ctx: ContextWindow, period: int) -> np.ndarray:
-    """Tile the last observed cycle of the target input forward."""
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
-    tgt = ctx.target_input
-    if period > len(tgt):
-        raise PeriodTooLongError(
-            f"period {period} exceeds target input length {len(tgt)}"
-        )
-    idx = len(tgt) - period + (np.arange(ctx.horizon) % period)
-    return tgt[idx].copy()
-
-
 class ExampleCopyForecaster(Forecaster):
+    """Predict the retrieved example's future verbatim."""
+
     name = "example_copy"
     mode = "ratfm"
 
     def forecast(self, ctx: ContextWindow) -> np.ndarray:
-        return forecast_example_copy(ctx)
+        if len(ctx.example_future) != ctx.horizon:
+            raise ModeMismatchError("context carries no example future")
+        return ctx.example_future.copy()
 
 
 class SeasonalNaiveForecaster(Forecaster):
+    """Tile the last observed cycle of the target input forward."""
+
     name = "seasonal_naive"
     mode = "zero_shot"
 
@@ -181,7 +167,13 @@ class SeasonalNaiveForecaster(Forecaster):
         self.period = int(period)
 
     def forecast(self, ctx: ContextWindow) -> np.ndarray:
-        return forecast_seasonal_naive(ctx, self.period)
+        period, tgt = self.period, ctx.target_input
+        if period < 1:
+            raise ValueError(f"period must be >= 1, got {period}")
+        if period > len(tgt):
+            raise PeriodTooLongError(f"period {period} exceeds target input length {len(tgt)}")
+        idx = len(tgt) - period + (np.arange(ctx.horizon) % period)
+        return tgt[idx].copy()
 
 
 class LinearForecaster(Forecaster):
@@ -217,11 +209,9 @@ class LinearForecaster(Forecaster):
 
 @dataclass(frozen=True)
 class TrainingReport:
-    """Outcome of a closed-form fit: one epoch, objective value per sample."""
+    """Outcome of a closed-form fit: the objective value per sample."""
 
-    epochs: int
     final_mse: float
-    loss_curve: tuple[float, ...]
 
 
 def train_linear(
@@ -272,7 +262,7 @@ def train_linear(
     objective = float(np.sum(residual * residual)) + reg * float(np.sum(wt * wt))
     final_mse = objective / n
     budget = Budget(segs[0], h, segs[2])
-    report = TrainingReport(epochs=1, final_mse=final_mse, loss_curve=(final_mse,))
+    report = TrainingReport(final_mse=final_mse)
     return LinearForecaster(weights, budget), report
 
 

@@ -28,6 +28,7 @@ from .errors import (
     EmptyTrainingSetError,
     InvalidFractionError,
     RatfmError,
+    check_field_types,
 )
 from .forecast import (
     Budget,
@@ -58,7 +59,7 @@ from .scoring import (
     sma_smooth,
     threshold_labels,
 )
-from .synth import SynthSpec, generate_synthetic
+from .synth import DomainTemplate, SynthSpec, generate_synthetic
 
 logger = logging.getLogger(__name__)
 
@@ -99,6 +100,7 @@ class ExperimentConfig:
             object.__setattr__(self, "budget", Budget(*self.budget))
 
     def validate(self) -> None:
+        check_field_types(self)
         if (self.dataset_root is None) == (self.synth is None):
             raise ConfigError("set exactly one of dataset_root and synth")
         te, h, tt = self.budget
@@ -111,11 +113,9 @@ class ExperimentConfig:
                 raise ConfigError(f"fractions must lie in (0, 1], got {f}")
         if not 0.0 < self.pool_fraction <= 1.0:
             raise ConfigError(f"pool_fraction must lie in (0, 1], got {self.pool_fraction}")
-        stride = self.eval_stride if self.eval_stride is not None else h
+        stride = _eval_stride(self)
         if not 1 <= stride <= h:
-            raise ConfigError(
-                f"eval_stride must lie in [1, horizon], got {stride}"
-            )
+            raise ConfigError(f"eval_stride must lie in [1, horizon], got {stride}")
         if self.pool_stride is not None and self.pool_stride < 1:
             raise ConfigError("pool_stride must be >= 1")
         if self.vus_w_max is not None and self.vus_w_max < 0:
@@ -141,53 +141,41 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if raw.get("budget") is not None:
-            raw["budget"] = Budget(*(int(v) for v in raw["budget"]))
-        if raw.get("synth") is not None:
-            raw["synth"] = _synth_from_dict(raw["synth"])
-        for key in ("fractions",):
-            if raw.get(key) is not None:
-                raw[key] = tuple(raw[key])
-        return cls(**raw)
+        fields = _json_fields(cls, raw, "config")
+        if fields.get("synth") is not None:
+            synth = _json_fields(SynthSpec, fields["synth"], "synth")
+            if isinstance(synth.get("templates"), tuple):
+                synth["templates"] = tuple(
+                    _build(DomainTemplate, _json_fields(DomainTemplate, t, "template"))
+                    for t in synth["templates"]
+                )
+            fields["synth"] = _build(SynthSpec, synth)
+        return _build(cls, fields)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         try:
             raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(raw)
 
 
-def _synth_from_dict(raw: dict) -> SynthSpec:
-    from .synth import DomainTemplate
-
-    raw = dict(raw)
-    known = {f.name for f in dataclasses.fields(SynthSpec)}
-    unknown = set(raw) - known
+def _json_fields(cls, raw, what: str) -> dict:
+    """``raw``'s keys as ``cls`` fields, JSON arrays turned into tuples."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {raw!r}")
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown synth keys: {sorted(unknown)}")
-    if raw.get("templates") is not None:
-        raw["templates"] = tuple(
-            DomainTemplate(
-                periods=tuple(t["periods"]),
-                amplitudes=tuple(t["amplitudes"]),
-                phases=tuple(t["phases"]),
-                level=t.get("level", 0.0),
-                mod_depth=t.get("mod_depth", 0.0),
-                mod_period=t.get("mod_period"),
-            )
-            for t in raw["templates"]
-        )
-    for key in ("anomaly_kinds", "anomaly_len"):
-        if raw.get(key) is not None:
-            raw[key] = tuple(raw[key])
-    return SynthSpec(**raw)
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+
+
+def _build(cls, fields: dict):
+    try:
+        return cls(**fields)
+    except TypeError as exc:  # a required field is missing, or a bad budget
+        raise ConfigError(f"bad {cls.__name__}: {exc}") from exc
 
 
 @dataclass
@@ -263,9 +251,7 @@ def _retrieval_query(window: Window, example_len: int) -> Window:
 
 
 def _eval_stride(config: ExperimentConfig) -> int:
-    if config.eval_stride is not None:
-        return config.eval_stride
-    return config.budget.horizon
+    return config.budget.horizon if config.eval_stride is None else config.eval_stride
 
 
 def _windows(
@@ -690,27 +676,20 @@ def similarity_diagnostics(
             sums[dom] += abc
             counts[dom] = counts.get(dom, 0) + 1
 
-    per_domain = {}
-    total_sum = np.zeros(3)
-    total_count = 0
-    for dom in sorted(sums):
-        n = counts[dom]
-        mean = sums[dom] / n
-        per_domain[dom] = {
-            "example_future": float(mean[0]),
-            "aligned_segment": float(mean[1]),
-            "best_segment": float(mean[2]),
-            "n_windows": n,
-        }
-        total_sum += sums[dom]
-        total_count += n
-    overall = {
-        "example_future": float(total_sum[0] / total_count) if total_count else 0.0,
-        "aligned_segment": float(total_sum[1] / total_count) if total_count else 0.0,
-        "best_segment": float(total_sum[2] / total_count) if total_count else 0.0,
-        "n_windows": total_count,
-    }
+    per_domain = {dom: _mean_similarities(sums[dom], counts[dom]) for dom in sorted(sums)}
+    total = sum((sums[dom] for dom in sorted(sums)), np.zeros(3))
+    overall = _mean_similarities(total, sum(counts.values()))
     return SimilarityDiagnostics(per_domain=per_domain, overall=overall)
+
+
+def _mean_similarities(total: np.ndarray, n: int) -> dict:
+    mean = total / n if n else np.zeros(3)
+    return {
+        "example_future": float(mean[0]),
+        "aligned_segment": float(mean[1]),
+        "best_segment": float(mean[2]),
+        "n_windows": n,
+    }
 
 
 def emit_reports(report: EvalReport, out_dir: str | Path) -> dict[str, Path]:

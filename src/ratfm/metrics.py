@@ -117,20 +117,32 @@ def auc_weighted(scores: np.ndarray, soft_labels: np.ndarray, kind: str) -> floa
     """
     if kind not in ("roc", "pr"):
         raise ValueError(f"kind must be 'roc' or 'pr', got {kind!r}")
+    roc, pr = _soft_areas(scores, soft_labels)
+    return roc if kind == "roc" else pr
+
+
+def _soft_areas(
+    scores: np.ndarray, soft_labels: np.ndarray, order: np.ndarray | None = None
+) -> tuple[float, float]:
+    """(ROC, PR) areas under the rules of :func:`auc_weighted`.
+
+    ``order`` is the stable descending argsort of ``scores``; callers
+    that score several label vectors against the same scores pass it so
+    the scores are sorted once.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     soft_labels = np.asarray(soft_labels, dtype=np.float64)
     if scores.shape != soft_labels.shape or scores.ndim != 1:
         raise LengthMismatchError(
             f"scores and labels lengths differ: {scores.shape} vs {soft_labels.shape}"
         )
-    pos = float(soft_labels.sum())
-    if pos <= 0.0:
+    if float(soft_labels.sum()) <= 0.0:
         raise NoPositiveMassError("soft labels sum to zero")
     if float(np.sum(1.0 - soft_labels)) <= 0.0:
-        return 1.0
-    order = np.argsort(-scores, kind="stable")
-    roc, pr = _kernels.weighted_areas(scores[order], soft_labels[order])
-    return roc if kind == "roc" else pr
+        return 1.0, 1.0
+    if order is None:
+        order = np.argsort(-scores, kind="stable")
+    return _kernels.weighted_areas(scores[order], soft_labels[order])
 
 
 def vus(
@@ -143,20 +155,22 @@ def vus(
 
     Buffer widths are ``steps + 1`` evenly spaced values from 0 to
     ``w_max``, rounded to integers and deduplicated; ``w_max=0``
-    degenerates to the plain soft-label-free areas.
+    degenerates to the plain soft-label-free areas.  Each width's areas
+    follow :func:`auc_weighted`; the scores are sorted once per call.
     """
     if w_max < 0:
         raise ValueError(f"w_max must be >= 0, got {w_max}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    values = scores.scores if isinstance(scores, ScoreSeries) else np.asarray(scores)
+    values = scores.scores if isinstance(scores, ScoreSeries) else scores
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(-values, kind="stable")
     widths = np.unique(np.rint(np.linspace(0.0, w_max, steps + 1)).astype(int))
     rocs = np.empty(len(widths))
     prs = np.empty(len(widths))
     for i, w in enumerate(widths):
         soft = continuous_labels(truth, int(w))
-        rocs[i] = auc_weighted(values, soft, "roc")
-        prs[i] = auc_weighted(values, soft, "pr")
+        rocs[i], prs[i] = _soft_areas(values, soft, order)
     if len(widths) == 1:
         return float(rocs[0]), float(prs[0])
     span = float(widths[-1] - widths[0])

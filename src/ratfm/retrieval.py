@@ -145,7 +145,7 @@ def ncc_max(
         score = float(np.dot(x, y)) / denom
         return SimilarityResult(score=float(np.clip(score, -1.0, 1.0)), best_lag=0)
     cc = _cc_sequence(x, y)
-    j = _kernels.best_lag(cc)
+    j = int(_kernels.best_lag_batch(cc[None])[0])
     score = cc[j] / denom
     return SimilarityResult(
         score=float(np.clip(score, -1.0, 1.0)), best_lag=j - (len(x) - 1)
@@ -220,23 +220,19 @@ def retrieve_best(
 
     Candidates are scored by :func:`candidate_scores`: entries from the
     query's own series and all-zero entries are skipped, and ties
-    between candidates go to the lowest pool index.  The lag tie rule of
-    :func:`ncc_max` runs on the winner's row only, since it never
+    between candidates go to the lowest pool index.  The reported lag is
+    :func:`ncc_max`'s for the winner alone, since its lag tie rule never
     changes a score.
     """
     scores = candidate_scores(query, pool)
     idx = best_candidate(scores, query, pool)
-    L = len(query.input)
-    nfft = _fft_size(L)
-    fq = np.fft.rfft(np.asarray(query.input, dtype=np.float64), nfft)
-    circ = np.fft.irfft(fq * pool._conj_spectra(nfft)[idx : idx + 1], nfft, axis=1)
-    cc = np.concatenate((circ[:, nfft - L + 1 :], circ[:, :L]), axis=1)
+    winner = pool.entries[idx]
     result = SimilarityResult(
         score=float(np.clip(scores[idx], -1.0, 1.0)),
-        best_lag=int(_kernels.best_lag_batch(cc)[0]) - (L - 1),
+        best_lag=ncc_max(query.input, winner.input).best_lag,
         candidate_index=idx,
     )
-    return pool.entries[idx], result
+    return winner, result
 
 
 def subsample_indices(n: int, fraction: float, seed: int) -> np.ndarray:
@@ -268,15 +264,3 @@ def subsample_pool(pool: CandidatePool, fraction: float, seed: int) -> Candidate
         seed=seed,
     )
 
-
-def build_pool(
-    domain: str,
-    windows: list[Window],
-    fraction: float = 1.0,
-    seed: int = 0,
-) -> CandidatePool:
-    """Assemble a pool from pre-cut windows, optionally subsampled."""
-    pool = CandidatePool(domain=domain, entries=list(windows))
-    if fraction != 1.0:
-        pool = subsample_pool(pool, fraction, seed)
-    return pool

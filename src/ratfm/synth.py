@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import LabeledSeries
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, check_field_types
 
 ANOMALY_KINDS = ("spike", "plateau_shift", "frequency_change")
 
@@ -89,6 +89,9 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        check_field_types(self, InvalidSpecError)
+        for template in self.templates or ():
+            check_field_types(template, InvalidSpecError)
         if self.domains < 1 or self.series_per_domain < 1:
             raise InvalidSpecError("need at least one domain and one series each")
         if self.train_len < 16 or self.test_len < 32:

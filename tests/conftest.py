@@ -1,14 +1,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-from ratfm import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the JIT kernels once so timed tests measure the algorithms."""
-    _kernels.warmup()

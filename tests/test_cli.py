@@ -92,6 +92,13 @@ class TestRun:
         unknown = write_config(tmp_path, extra_key=1)
         assert main(["run", "--setting", "ratfm_copy", "--config", str(unknown)]) == 2
 
+    def test_malformed_config_files_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        for raw in ({"budget": [1, 2]}, [1, 2]):
+            bad.write_text(json.dumps(raw))
+            assert main(["run", "--setting", "ratfm_copy", "--config", str(bad)]) == 2
+            assert "config error:" in capsys.readouterr().err
+
     def test_dataset_error_exit_3(self, tmp_path):
         ds = tmp_path / "ds"
         ds.mkdir()

@@ -18,8 +18,6 @@ from ratfm.forecast import (
     SeasonalNaiveForecaster,
     assemble_context,
     forecast,
-    forecast_example_copy,
-    forecast_seasonal_naive,
     load_weights,
     save_weights,
     train_linear,
@@ -95,7 +93,7 @@ class TestSimpleForecasters:
     def test_example_copy_identity(self):
         rng = np.random.default_rng(2)
         ctx = make_ctx(rng, Budget(4, 3, 4))
-        out = forecast_example_copy(ctx)
+        out = ExampleCopyForecaster().forecast(ctx)
         assert np.array_equal(out, ctx.example_future)
         out[0] = 1e9  # copy, not a view
         assert ctx.example_future[0] != 1e9
@@ -105,14 +103,14 @@ class TestSimpleForecasters:
             example_input=np.empty(0), example_future=np.empty(0),
             target_input=np.array([1.0, 2.0, 3.0, 4.0]), horizon=3,
         )
-        assert np.array_equal(forecast_seasonal_naive(ctx, 2), [3.0, 4.0, 3.0])
+        assert np.array_equal(SeasonalNaiveForecaster(2).forecast(ctx), [3.0, 4.0, 3.0])
 
     def test_seasonal_naive_period_one(self):
         ctx = ContextWindow(
             example_input=np.empty(0), example_future=np.empty(0),
             target_input=np.array([5.0, 6.0, 7.0]), horizon=4,
         )
-        assert np.array_equal(forecast_seasonal_naive(ctx, 1), [7.0] * 4)
+        assert np.array_equal(SeasonalNaiveForecaster(1).forecast(ctx), [7.0] * 4)
 
     def test_seasonal_naive_sine_oracle(self):
         period, h = 25, 50
@@ -122,7 +120,7 @@ class TestSimpleForecasters:
             example_input=np.empty(0), example_future=np.empty(0),
             target_input=series[:150], horizon=h,
         )
-        out = forecast_seasonal_naive(ctx, period)
+        out = SeasonalNaiveForecaster(period).forecast(ctx)
         truth = np.sin(2 * np.pi * np.arange(150, 150 + h) / period)
         assert float(np.mean((out - truth) ** 2)) < 1e-6
 
@@ -132,7 +130,7 @@ class TestSimpleForecasters:
             target_input=np.ones(4), horizon=2,
         )
         with pytest.raises(PeriodTooLongError):
-            forecast_seasonal_naive(ctx, 5)
+            SeasonalNaiveForecaster(5).forecast(ctx)
 
 
 class TestTrainLinear:
@@ -155,7 +153,6 @@ class TestTrainLinear:
         fc, report = train_linear(self._contexts(1, False, rng), reg=1.0)
         assert np.all(np.isfinite(fc.weights))
         assert report.final_mse >= 0.0
-        assert report.epochs == 1 and len(report.loss_curve) == 1
 
     def test_rank_deficient_without_reg_raises(self):
         rng = np.random.default_rng(5)

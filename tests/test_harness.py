@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ratfm.harness as harness
 import ratfm.retrieval as retrieval
@@ -65,6 +67,28 @@ def spy_scores(monkeypatch):
     return calls
 
 
+# JSON-like values (integers within the range JSON tools exchange exactly)
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**53), 2**53) | st.floats() | st.text(max_size=6)
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _objects(cls, values):
+    """JSON objects keyed by ``cls``'s field names."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return st.dictionaries(st.sampled_from(names), values, max_size=6)
+
+
+_TEMPLATES = st.lists(_objects(DomainTemplate, _JSON), max_size=3)
+_CONFIGS = _objects(ExperimentConfig, _JSON | _objects(SynthSpec, _JSON | _TEMPLATES))
+
+
 def config(**overrides):
     base = dict(
         synth=SPEC,
@@ -112,6 +136,35 @@ class TestConfig:
             config(retrieval_region="nowhere").validate()
         with pytest.raises(ConfigError):
             config(workers=0).validate()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"budget": [1, 2]},
+            {"fractions": 5},
+            {"synth": 5},
+            {"dataset_root": "/tmp", "workers": "2"},
+            [1, 2],
+            {"synth": {"templates": [{"periods": [8.0], "phases": [0.0]}]}},
+            {"dataset_root": "x", "budget": ["64", 16, 64]},
+            {"dataset_root": "x", "sma": 1},
+            {"dataset_root": "x", "seed": True},
+            {"dataset_root": "x", "fractions": [0.5, "1"]},
+            {"synth": {"anomaly_len": [30]}},
+            {"synth": {"templates": [{"periods": [8.0], "amplitudes": ["1"], "phases": [0]}]}},
+        ],
+    )
+    def test_malformed_values_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(raw).validate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CONFIGS | _JSON)
+    def test_fuzzed_configs_raise_only_config_errors(self, raw):
+        try:
+            ExperimentConfig.from_dict(raw).validate()
+        except ConfigError:
+            pass
 
     def test_snapshot_excludes_out_dir(self):
         snap = config(out_dir="/somewhere").to_dict()

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import sma_formula
+from oracles import auc_enum, sma_formula
 from ratfm import _kernels
-
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.use_numba(), reason="numba backend disabled"
-)
 
 
 class TestSmaKernel:
@@ -16,17 +11,7 @@ class TestSmaKernel:
         for _ in range(20):
             values = rng.random(int(rng.integers(1, 80)))
             n = int(rng.integers(1, 15))
-            assert np.array_equal(_kernels._sma_numpy(values, n), sma_formula(values, n))
-
-    @needs_numba
-    def test_backends_bit_identical(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            values = rng.random(int(rng.integers(1, 120)))
-            n = int(rng.integers(1, 20))
-            assert np.array_equal(
-                _kernels._sma_numba(values, n), _kernels._sma_numpy(values, n)
-            )
+            assert np.array_equal(_kernels.sma_trailing(values, n), sma_formula(values, n))
 
 
 class TestBestLagKernel:
@@ -45,45 +30,26 @@ class TestBestLagKernel:
         rng = np.random.default_rng(2)
         for _ in range(100):
             L = int(rng.integers(2, 20))
-            cc = np.round(rng.random(2 * L - 1), 1)  # force ties
-            assert _kernels._best_lag_numpy(cc) == self._priority_best(cc)
-
-    @needs_numba
-    def test_backends_agree(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            L = int(rng.integers(2, 24))
-            cc = np.round(rng.random(2 * L - 1), 1)
-            assert _kernels._best_lag_numba(cc) == _kernels._best_lag_numpy(cc)
-
-    @needs_numba
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(4)
-        cc = np.round(rng.random((12, 31)), 1)
-        batch = _kernels._best_lag_batch_numba(cc)
-        assert np.array_equal(batch, _kernels._best_lag_batch_numpy(cc))
-        for row, j in enumerate(batch):
-            assert j == _kernels._best_lag_numpy(cc[row])
+            rows = int(rng.integers(1, 6))
+            cc = np.round(rng.random((rows, 2 * L - 1)), 1)  # force ties
+            got = _kernels.best_lag_batch(cc)
+            assert got.dtype == np.int64
+            assert got.tolist() == [self._priority_best(row) for row in cc]
 
 
 class TestWeightedAreasKernel:
-    def _case(self, rng):
-        n = int(rng.integers(2, 100))
-        scores = np.sort(np.round(rng.random(n), 2))[::-1].copy()
-        soft = rng.random(n)
-        soft[0] = 1.0
-        soft[-1] = 0.0
-        return scores, soft
-
-    @needs_numba
-    def test_backends_agree(self):
+    def test_matches_enumeration_oracle_on_tied_scores(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            scores, soft = self._case(rng)
-            a = _kernels._weighted_areas_numba(scores, soft)
-            b = _kernels._weighted_areas_numpy(scores, soft)
-            assert a[0] == pytest.approx(b[0], abs=1e-12)
-            assert a[1] == pytest.approx(b[1], abs=1e-12)
+            n = int(rng.integers(2, 100))
+            scores = np.round(rng.random(n), 1)  # force tied blocks
+            soft = rng.random(n)
+            soft[0] = 1.0
+            soft[-1] = 0.0
+            order = np.argsort(-scores, kind="stable")
+            roc, pr = _kernels.weighted_areas(scores[order], soft[order])
+            assert roc == pytest.approx(auc_enum(scores, soft, "roc"), abs=1e-12)
+            assert pr == pytest.approx(auc_enum(scores, soft, "pr"), abs=1e-12)
 
 
 class TestLag0ScanKernel:
@@ -93,24 +59,20 @@ class TestLag0ScanKernel:
             hay = rng.normal(size=int(rng.integers(8, 60)))
             m = int(rng.integers(2, 8))
             needle = rng.normal(size=m)
-            score, off = _kernels._lag0_scan_numpy(hay, needle)
-            best = max(
+            score, off = _kernels.lag0_scan(hay, needle)
+            direct = [
                 float(np.dot(hay[o : o + m], needle))
                 / (np.linalg.norm(hay[o : o + m]) * np.linalg.norm(needle))
                 for o in range(len(hay) - m + 1)
-            )
-            assert score == pytest.approx(best, abs=1e-12)
+            ]
+            assert score == pytest.approx(max(direct), abs=1e-12)
+            assert direct[off] == pytest.approx(max(direct), abs=1e-12)
 
-    @needs_numba
-    def test_backends_agree(self):
-        rng = np.random.default_rng(7)
-        for _ in range(30):
-            hay = rng.normal(size=int(rng.integers(8, 80)))
-            needle = rng.normal(size=int(rng.integers(2, 8)))
-            a = _kernels._lag0_scan_numba(hay, needle)
-            b = _kernels._lag0_scan_numpy(hay, needle)
-            assert a[0] == pytest.approx(b[0], abs=1e-10)
-            assert a[1] == b[1]
+    def test_zero_norm_segments_never_win(self):
+        # offset 0 is all-zero; every other offset correlates negatively
+        hay = np.array([0.0, 0.0, -1.0, -1.0])
+        score, off = _kernels.lag0_scan(hay, np.array([1.0, 1.0]))
+        assert (score, off) == (pytest.approx(-np.sqrt(0.5)), 1)
 
     def test_zero_norm_needle_flagged(self):
         score, _ = _kernels.lag0_scan(np.ones(10), np.zeros(3))

@@ -175,6 +175,40 @@ class TestVus:
         roc, _ = vus(scores, gt, w_max=1, steps=1)
         assert roc == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("spans", [[(5, 9), (30, 33)], [(0, 59)]])
+    def test_sorts_once_and_equals_per_width_auc(self, spans, monkeypatch):
+        # the second case labels every point: no width has negative mass
+        scores = np.round(np.random.default_rng(8).random(60), 1)
+        gt = GroundTruth.from_spans(spans, length=60)
+        w_max, steps = 7, 5
+        widths = np.unique(np.rint(np.linspace(0.0, w_max, steps + 1)).astype(int))
+        expected = [
+            np.trapezoid(
+                [auc_weighted(scores, continuous_labels(gt, int(w)), kind) for w in widths],
+                widths,
+            )
+            / float(widths[-1] - widths[0])
+            for kind in ("roc", "pr")
+        ]
+        real_argsort = np.argsort
+        sorts = []
+
+        def counting_argsort(*args, **kwargs):
+            sorts.append(1)
+            return real_argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        got = vus(scores, gt, w_max=w_max, steps=steps)
+        assert len(sorts) == 1
+        assert got == (expected[0], expected[1])
+        if spans == [(0, 59)]:
+            assert got == (1.0, 1.0)
+
+    def test_length_mismatch(self):
+        gt = GroundTruth.from_spans([(1, 2)], length=5)
+        with pytest.raises(LengthMismatchError):
+            vus(np.ones(4), gt, w_max=2, steps=2)
+
     def test_random_scores_near_half(self):
         rng = np.random.default_rng(6)
         scores = rng.random(10_000)

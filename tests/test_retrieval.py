@@ -18,7 +18,6 @@ from ratfm.retrieval import (
     _CHUNK_ROWS,
     CandidatePool,
     best_candidate,
-    build_pool,
     candidate_scores,
     ncc_max,
     retrieve_best,
@@ -367,7 +366,9 @@ def test_concurrent_first_touch_builds_spectra_once(monkeypatch):
 class TestSubsample:
     def _pool(self, n):
         rng = np.random.default_rng(1)
-        return build_pool("d", [win(f"s{i}", i, rng.normal(size=8)) for i in range(n)])
+        return CandidatePool(
+            domain="d", entries=[win(f"s{i}", i, rng.normal(size=8)) for i in range(n)]
+        )
 
     def test_quarter_of_hundred(self):
         sub = subsample_pool(self._pool(100), 0.25, seed=0)
