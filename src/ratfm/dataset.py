@@ -125,8 +125,10 @@ def parse_ucr_file(path: str | Path) -> LabeledSeries:
     lead = parts[:-3]
     domain = lead[1] if len(lead) >= 2 else lead[0]
 
-    text = path.read_text()
-    tokens = text.split()
+    try:
+        tokens = path.read_text().split()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from exc
     if not tokens:
         raise EmptySeriesError(f"{path.name}: file holds no values")
     values = np.empty(len(tokens), dtype=np.float64)
@@ -227,16 +229,25 @@ def make_windows(
 
 
 def load_dataset(root: str | Path, pattern: str = "*.txt") -> list[LabeledSeries]:
-    """Parse every matching file under ``root``, sorted by filename.
+    """Parse every matching file under ``root``, sorted by path.
 
     A missing root is an error; an existing directory with no matching
     files yields an empty list (callers decide whether that is fatal).
+    Two files with the same stem are an error: the series id keys
+    retrieval caches and output files.
     """
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"dataset root {root} is not a directory")
-    paths = sorted(root.rglob(pattern))
-    return [parse_ucr_file(p) for p in paths]
+    series = [parse_ucr_file(p) for p in sorted(root.rglob(pattern)) if p.is_file()]
+    paths: dict[str, str] = {}
+    for s in series:
+        if s.id in paths:
+            raise DatasetError(
+                f"duplicate series id {s.id!r}: {paths[s.id]} and {s.source_path}"
+            )
+        paths[s.id] = s.source_path
+    return series
 
 
 def dump_metadata(series_list: list[LabeledSeries], path: str | Path) -> None:

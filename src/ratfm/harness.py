@@ -28,6 +28,7 @@ from .errors import (
     EmptyTrainingSetError,
     InvalidFractionError,
     RatfmError,
+    SeriesTooShortError,
     check_field_types,
 )
 from .forecast import (
@@ -47,10 +48,11 @@ from .retrieval import (
     best_candidate,
     candidate_scores,
     ncc_max,
-    retrieve_best,
     subsample_indices,
     subsample_pool,
 )
+# unused here, but perfbench/tracer.py wraps ratfm.harness.retrieve_best
+from .retrieval import retrieve_best  # noqa: F401
 from .scoring import (
     ScoreSeries,
     anomaly_scores,
@@ -182,9 +184,9 @@ def _build(cls, fields: dict):
 class PreparedRun:
     """Standardized series, per-series periods, and per-domain pools.
 
-    ``_examples`` holds each series' retrieved examples, filled lazily
-    by :func:`_retrieved` so that every consumer of the run retrieves a
-    window's example once.
+    ``_examples`` holds each series' retrieved examples per pool
+    fraction, filled lazily by :func:`_retrieved` so that every consumer
+    of the run scores a window's query once.
     """
 
     series: list[LabeledSeries]
@@ -212,19 +214,17 @@ def prepare_run(config: ExperimentConfig) -> PreparedRun:
     )
     series = []
     periods = {}
-    paths: dict[str, str] = {}
     by_domain: dict[str, list[Window]] = {}
     for raw in _load_series(config):
-        # retrieved examples are cached by series id
-        if raw.id in paths:
-            raise DatasetError(
-                f"duplicate series id {raw.id!r}: {paths[raw.id]} and {raw.source_path}"
+        try:
+            std, _ = standardize(raw)
+            source = (
+                std.train_values if config.period_source == "train" else std.test_values
             )
-        paths[raw.id] = raw.source_path
-        std, _ = standardize(raw)
+            periods[std.id] = estimate_period(source).period
+        except SeriesTooShortError as exc:
+            raise DatasetError(f"series {raw.id!r} cannot be prepared: {exc}") from exc
         series.append(std)
-        source = std.train_values if config.period_source == "train" else std.test_values
-        periods[std.id] = estimate_period(source).period
         regions = ["train"] if config.retrieval_region == "train" else ["train", "test"]
         for region in regions:
             with warnings.catch_warnings():
@@ -262,39 +262,51 @@ def _windows(
     return make_windows(series, region, te + h + tt, h, _eval_stride(config))
 
 
-def _pool(data: PreparedRun, series: LabeledSeries) -> CandidatePool:
-    pool = data.pools.get(series.domain)
-    if pool is None:
-        raise RatfmError(f"no retrieval pool for domain {series.domain!r}")
-    return pool
-
-
 def _retrieved(
-    config: ExperimentConfig, data: PreparedRun, series: LabeledSeries, region: str
-) -> tuple[list[Window], list[Window | str]]:
-    """A series' windows in ``region`` and the example retrieved for each.
+    config: ExperimentConfig,
+    data: PreparedRun,
+    series: LabeledSeries,
+    region: str,
+    fractions: tuple[float, ...] = (1.0,),
+) -> tuple[list[Window], list[list[Window | str]]]:
+    """A series' windows in ``region`` and, per fraction, each window's example.
 
-    An example is the pool entry :func:`retrieve_best` returns for the
-    window's query, or the message of the :class:`RatfmError` it raised.
-    Examples are retrieved once per prepared run, series, region and
-    window geometry (budget and eval stride) and reused by later calls.
-    No lock is held while retrieving: series ids are unique, so two
-    threads fill the same entry only when two runs share ``data`` at
-    once, and both then store the same examples.
+    A window's query is scored once against the whole domain pool
+    (:func:`candidate_scores`); a fraction's example is the best of
+    those scores over the entries :func:`subsample_indices` keeps (as in
+    a pool passed through :func:`subsample_pool`), the lowest index on
+    ties, or the message of the :class:`RatfmError` retrieval raised.
+    Examples are cached per prepared run, series, region, window
+    geometry (budget and eval stride) and fraction; only fractions not
+    cached yet are retrieved.  No lock is held while retrieving: series
+    ids are unique, so two threads fill the same entry only when two
+    runs share ``data`` at once, and both then store the same examples.
     """
     windows = _windows(config, series, region)
     key = (series.id, region, config.budget, _eval_stride(config))
-    examples = data._examples.get(key)
-    if examples is None:
-        examples = []
+    missing = [f for f in fractions if key + (f,) not in data._examples]
+    if missing:
+        # a domain without a pool fails every query, as an empty pool does
+        pool = data.pools.get(series.domain) or CandidatePool(series.domain, [])
+        kept = {f: subsample_indices(len(pool), f, config.seed) for f in missing}
+        found: dict[float, list] = {f: [] for f in missing}
         for w in windows:
+            query = _retrieval_query(w, config.budget.example_len)
             try:
-                query = _retrieval_query(w, config.budget.example_len)
-                examples.append(retrieve_best(query, _pool(data, series))[0])
+                scores = candidate_scores(query, pool)
             except RatfmError as exc:
-                examples.append(str(exc))
-        data._examples[key] = examples
-    return windows, examples
+                for examples in found.values():
+                    examples.append(str(exc))
+                continue
+            for f, idx in kept.items():
+                try:
+                    best = idx[best_candidate(scores[idx], query, pool)]
+                    found[f].append(pool.entries[best])
+                except RatfmError as exc:
+                    found[f].append(str(exc))
+        for f, examples in found.items():
+            data._examples[key + (f,)] = examples
+    return windows, [data._examples[key + (f,)] for f in fractions]
 
 
 def _map(config: ExperimentConfig, fn, items: list) -> list:
@@ -319,7 +331,7 @@ def _train_forecaster(
     """
 
     def series_contexts(series: LabeledSeries) -> list:
-        windows, examples = _retrieved(config, data, series, "train")
+        windows, (examples,) = _retrieved(config, data, series, "train")
         return [
             assemble_context(w, example, config.budget)
             for w, example in zip(windows, examples)
@@ -450,13 +462,7 @@ def run_setting(
     report = EvalReport(setting=setting, config=config.to_dict())
     if setting == "ratfm_linear" and trained is None:
         trained, report.training = _train_forecaster(config, data)
-
-    def retrieved(series: LabeledSeries):
-        if setting == "zero_shot_naive":
-            return _windows(config, series, "test"), None
-        return _retrieved(config, data, series, "test")
-
-    return _evaluate(report, config, data, trained, retrieved)
+    return _evaluate(report, config, data, trained)
 
 
 def _check_setting(setting: str) -> None:
@@ -469,16 +475,22 @@ def _evaluate(
     config: ExperimentConfig,
     data: PreparedRun,
     trained: Forecaster | None,
-    retrieved,
+    fraction: float = 1.0,
 ) -> EvalReport:
     """Fill and finalize ``report`` with every series of ``data``.
 
-    ``retrieved(series)`` gives the series' test windows and examples.
+    The retrieval settings take their test examples from ``fraction``
+    of each domain pool, as :func:`_retrieved` picks them.
     """
 
     def eval_one(series: LabeledSeries):
         try:
-            windows, examples = retrieved(series)
+            if report.setting == "zero_shot_naive":
+                windows, examples = _windows(config, series, "test"), None
+            else:
+                windows, (examples,) = _retrieved(
+                    config, data, series, "test", (fraction,)
+                )
             rec, dump = _eval_series(
                 series,
                 config,
@@ -533,17 +545,14 @@ def sweep_pool_fraction(
     """Evaluate ``setting`` with the candidate pools subsampled to each fraction.
 
     A fraction's report equals :func:`run_setting` on pools passed
-    through :func:`subsample_pool` (seeded by ``config.seed``), but the
-    retrieval is done once for all fractions: each test query is scored
-    against the full pool (:func:`candidate_scores`), and a fraction's
-    example is the best of those scores over the entries that fraction
-    keeps (:func:`subsample_indices`), ties going to the lowest index as
-    in the subsampled pool.  The forecaster (for the linear setting) is
-    trained once on the full pools and reused.
+    through :func:`subsample_pool` (seeded by ``config.seed``), but each
+    test query is scored once for all fractions (:func:`_retrieved`).
+    The forecaster (for the linear setting) is trained once on the full
+    pools and reused.
     """
     _check_setting(setting)
     config.validate()
-    fractions = list(fractions if fractions is not None else config.fractions)
+    fractions = tuple(fractions if fractions is not None else config.fractions)
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise InvalidFractionError(f"fractions must lie in (0, 1], got {f}")
@@ -551,49 +560,15 @@ def sweep_pool_fraction(
     trained = None
     if setting == "ratfm_linear":
         trained, _ = _train_forecaster(config, data)
-    kept = {
-        dom: {f: subsample_indices(len(pool), f, config.seed) for f in fractions}
-        for dom, pool in data.pools.items()
-    }
-
-    def retrieve_series(series: LabeledSeries):
-        """(test windows, {fraction: examples}) for one series."""
-        windows = _windows(config, series, "test")
-        if setting == "zero_shot_naive":
-            return windows, dict.fromkeys(fractions)
-        examples = {f: [] for f in fractions}
-        for w in windows:
-            query = _retrieval_query(w, config.budget.example_len)
-            try:
-                pool = _pool(data, series)
-                scores = candidate_scores(query, pool)
-            except RatfmError as exc:
-                for found in examples.values():
-                    found.append(str(exc))
-                continue
-            for f, found in examples.items():
-                idx = kept[series.domain][f]
-                try:
-                    best = idx[best_candidate(scores[idx], query, pool)]
-                    found.append(pool.entries[best])
-                except RatfmError as exc:
-                    found.append(str(exc))
-        return windows, examples
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        per_series = dict(
-            zip([s.id for s in data.series], _map(config, retrieve_series, data.series))
-        )
+    if setting != "zero_shot_naive":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _map(config, lambda s: _retrieved(config, data, s, "test", fractions),
+                 data.series)
     result = SweepResult(setting=setting, rows=[])
     for fraction in fractions:
-
-        def retrieved(series: LabeledSeries, fraction=fraction):
-            windows, examples = per_series[series.id]
-            return windows, examples[fraction]
-
         report = EvalReport(setting=setting, config=config.to_dict())
-        _evaluate(report, config, data, trained, retrieved)
+        _evaluate(report, config, data, trained, fraction)
         result.reports[fraction] = report
         for domain, rec in report.per_domain.items():
             result.rows.append((fraction, domain, rec["vus_roc"], rec["n_series"]))
@@ -650,7 +625,8 @@ def similarity_diagnostics(
 
     def series_similarities(series: LabeledSeries) -> list[tuple[float, float, float]]:
         out = []
-        for w, example in zip(*_retrieved(config, data, series, "test")):
+        windows, (examples,) = _retrieved(config, data, series, "test")
+        for w, example in zip(windows, examples):
             if isinstance(example, str):
                 continue
             try:

@@ -53,15 +53,15 @@ class CandidatePool:
     Entries typically come from the training regions of series other
     than the query's; windows from the query's own series are excluded
     at retrieval time.  ``fraction`` and ``seed`` record how the pool
-    was subsampled.  The stacked entries and their spectra are built
-    lazily on first use, once even when several threads query at once.
+    was subsampled.  The pool's arrays are built on first use, once even
+    when several threads query at once.
     """
 
     domain: str
     entries: list[Window]
     fraction: float = 1.0
     seed: int = 0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _built: tuple | None = field(default=None, repr=False, compare=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -69,39 +69,26 @@ class CandidatePool:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _cached(self, key, build):
-        if key not in self._cache:
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(entries matrix, per-entry norms, per-entry series ids, complex
+        conjugates of the entries' ``_fft_size(width)``-point spectra)."""
+        if self._built is None:
             with self._lock:
-                if key not in self._cache:
-                    self._cache[key] = build()
-        return self._cache[key]
-
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(entries matrix, per-entry norms, per-entry series ids)."""
-
-        def build():
-            lengths = {len(e.input) for e in self.entries}
-            if len(lengths) > 1:
-                raise InconsistentWindowLengthError(
-                    f"pool windows have mixed lengths {sorted(lengths)}"
-                )
-            stack = np.ascontiguousarray(
-                np.stack([e.input for e in self.entries]), dtype=np.float64
-            )
-            series_ids = np.array([e.series_id for e in self.entries])
-            return stack, np.linalg.norm(stack, axis=1), series_ids
-
-        return self._cached("stack", build)
-
-    def _conj_spectra(self, nfft: int) -> np.ndarray:
-        """Complex conjugates of the entries' ``nfft``-point spectra."""
-        stack = self._stacked()[0]
-
-        def build():
-            spectra = np.fft.rfft(stack, nfft, axis=1)
-            return np.conj(spectra, out=spectra)
-
-        return self._cached(("conj_rfft", nfft), build)
+                if self._built is None:
+                    lengths = {len(e.input) for e in self.entries}
+                    if len(lengths) > 1:
+                        raise InconsistentWindowLengthError(
+                            f"pool windows have mixed lengths {sorted(lengths)}"
+                        )
+                    stack = np.ascontiguousarray(
+                        np.stack([e.input for e in self.entries]), dtype=np.float64
+                    )
+                    norms = np.linalg.norm(stack, axis=1)
+                    series_ids = np.array([e.series_id for e in self.entries])
+                    spectra = np.fft.rfft(stack, _fft_size(stack.shape[1]), axis=1)
+                    np.conj(spectra, out=spectra)
+                    self._built = (stack, norms, series_ids, spectra)
+        return self._built
 
 
 def _fft_size(length: int) -> int:
@@ -172,7 +159,7 @@ def candidate_scores(query: Window, pool: CandidatePool) -> np.ndarray:
         raise EmptyPoolError(f"pool for domain {pool.domain!r} is empty")
     q = np.asarray(query.input, dtype=np.float64)
     L = len(q)
-    stack, norms, series_ids = pool._stacked()
+    stack, norms, series_ids, spectra = pool._arrays()
     if stack.shape[1] != L:
         raise InconsistentWindowLengthError(
             f"pool windows have length {stack.shape[1]}, query has {L}"
@@ -188,7 +175,6 @@ def candidate_scores(query: Window, pool: CandidatePool) -> np.ndarray:
 
     nfft = _fft_size(L)
     fq = np.fft.rfft(q, nfft)
-    spectra = pool._conj_spectra(nfft)
     scores = np.full(len(norms), -np.inf)
     for lo in range(0, len(rows), _CHUNK_ROWS):
         block = rows[lo : lo + _CHUNK_ROWS]

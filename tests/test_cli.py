@@ -49,6 +49,28 @@ class TestSynthIngest:
         (ds / "a_b_10_20_30.txt").write_text("1 2 oops")
         assert main(["ingest", str(ds)]) == 3
 
+    def test_unreadable_series_files_exit_3(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        bad = ds / "a_b_10_20_30.txt"
+        bad.write_bytes(b"1 2 \xff")
+        for argv in (["ingest", str(ds)],
+                     ["run", "--setting", "zero_shot_naive", "--dataset", str(ds),
+                      "--out", str(tmp_path / "out")]):
+            assert main(argv) == 3
+            assert f"dataset error: cannot read {bad}" in capsys.readouterr().err
+        bad.unlink()
+        (ds / "x_dom_5_6_7.txt").mkdir()
+        assert main(["ingest", str(ds)]) == 3  # no series file left
+
+    def test_ingest_rejects_duplicate_series_ids(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        for sub in ("a", "b"):
+            assert main(["synth", "--out", str(ds / sub), "--domains", "1",
+                         "--series-per-domain", "1", "--seed", "3"]) == 0
+        assert main(["ingest", str(ds)]) == 3
+        assert "duplicate series id" in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_writes_reports(self, tmp_path, capsys):
@@ -105,6 +127,15 @@ class TestRun:
         (ds / "a_b_10_20_30.txt").write_text("1 2 oops")
         assert main(["run", "--setting", "ratfm_copy", "--dataset", str(ds),
                      "--out", str(tmp_path / "out")]) == 3
+
+    def test_series_too_short_to_prepare_exit_3(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["synth", "--out", str(ds), "--domains", "1",
+                     "--series-per-domain", "2", "--seed", "3"]) == 0
+        (ds / "003_dom0_5_6_7.txt").write_text(" ".join(map(str, range(20))))
+        assert main(["run", "--setting", "zero_shot_naive", "--dataset", str(ds),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "'003_dom0_5_6_7'" in capsys.readouterr().err
 
     def test_missing_dataset_root_exit_3(self, tmp_path):
         assert main(["run", "--setting", "ratfm_copy",

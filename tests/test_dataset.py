@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratfm.dataset import (
     LabeledSeries,
@@ -13,6 +17,7 @@ from ratfm.dataset import (
     standardize,
 )
 from ratfm.errors import (
+    DatasetError,
     EmptySeriesError,
     MalformedNameError,
     NonNumericTokenError,
@@ -103,6 +108,21 @@ class TestParse:
         write_series(tmp_path, "001_A_3_5_6.txt", range(10))
         series = load_dataset(tmp_path)
         assert [s.id for s in series] == ["001_A_3_5_6", "002_B_3_5_6"]
+
+    def test_unreadable_files_are_dataset_errors(self, tmp_path):
+        path = tmp_path / "a_b_1_2_3.txt"
+        path.write_bytes(b"1 2 \xff 4")
+        with pytest.raises(DatasetError, match="a_b_1_2_3.txt"):
+            parse_ucr_file(path)
+        folder = tmp_path / "x_dom_5_6_7.txt"
+        folder.mkdir()
+        with pytest.raises(DatasetError, match="x_dom_5_6_7.txt"):
+            parse_ucr_file(folder)
+
+    def test_load_dataset_skips_directories(self, tmp_path):
+        write_series(tmp_path, "001_A_3_5_6.txt", range(10))
+        (tmp_path / "x_dom_5_6_7.txt").mkdir()
+        assert [s.id for s in load_dataset(tmp_path)] == ["001_A_3_5_6"]
 
     def test_dump_metadata(self, tmp_path):
         write_series(tmp_path, "001_A_3_5_6.txt", range(10))
@@ -223,3 +243,43 @@ class TestInvariants:
         s = make_series(np.arange(10.0), train_end=5)
         with pytest.raises(ValueError):
             s.values[0] = 99.0
+
+
+_STEMS = st.text("abcXYZ0123456789_-.", min_size=1, max_size=24) | st.builds(
+    "{}_{}_{}_{}".format,
+    st.text("abcXYZ0123456789_-.", max_size=8),
+    *[st.integers(-2, 50)] * 3,
+)
+_TOKENS = st.sampled_from(["nan", "inf", "-inf", "1e999", "abc", "0x1f", "--", "1_0"]) | (
+    st.floats(allow_nan=False, allow_infinity=False).map(repr)
+) | st.integers(-(10**6), 10**6).map(str)
+_CONTENTS = (
+    st.lists(_TOKENS, max_size=40).map(lambda toks: " ".join(toks).encode())
+    | st.binary(max_size=40)
+    | st.just(b"1 2 \xff\xfe 3")
+)
+# (subdirectory, stem, content or None for a directory named like a file)
+_FILES = st.lists(
+    st.tuples(st.sampled_from(["", "sub"]), _STEMS, st.none() | _CONTENTS), max_size=5
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FILES)
+def test_fuzzed_series_files_raise_only_dataset_errors(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for sub, stem, content in files:
+            folder = root / sub
+            folder.mkdir(exist_ok=True)
+            path = folder / f"{stem}.txt"
+            if path.exists():
+                continue
+            if content is None:
+                path.mkdir()
+            else:
+                path.write_bytes(content)
+        try:
+            load_dataset(root)
+        except DatasetError:
+            pass

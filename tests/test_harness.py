@@ -2,7 +2,9 @@ import collections
 import dataclasses
 import json
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import ratfm.harness as harness
 import ratfm.retrieval as retrieval
-from ratfm.errors import ConfigError, DatasetError, InvalidFractionError
+from ratfm.errors import ConfigError, DatasetError, InvalidFractionError, RatfmError
 from ratfm.forecast import Budget
 from ratfm.harness import (
     ExperimentConfig,
@@ -22,7 +24,7 @@ from ratfm.harness import (
     similarity_diagnostics,
     sweep_pool_fraction,
 )
-from ratfm.retrieval import subsample_pool
+from ratfm.retrieval import retrieve_best, subsample_pool
 from ratfm.synth import DomainTemplate, SynthSpec, write_synthetic
 
 # small desk-scale benchmark reused across tests
@@ -87,6 +89,16 @@ def _objects(cls, values):
 
 _TEMPLATES = st.lists(_objects(DomainTemplate, _JSON), max_size=3)
 _CONFIGS = _objects(ExperimentConfig, _JSON | _objects(SynthSpec, _JSON | _TEMPLATES))
+
+
+@st.composite
+def _split_series(draw):
+    """(length, train end, anomaly start, anomaly end, shape), mostly in bounds."""
+    n = draw(st.integers(1, 160))
+    train_end = draw(st.integers(-1, n + 1))
+    start = draw(st.integers(train_end - 1, n))
+    end = draw(st.integers(start - 1, n))
+    return n, train_end, start, end, draw(st.sampled_from(["sine", "constant", "noise"]))
 
 
 def config(**overrides):
@@ -182,6 +194,42 @@ class TestPrepareRun:
         assert str(tmp_path / "a" / name) in str(err.value)
         assert str(tmp_path / "b" / name) in str(err.value)
 
+    def test_series_too_short_names_the_series(self, tmp_path):
+        write_synthetic(dataclasses.replace(SPEC, domains=1, series_per_domain=2), tmp_path)
+        (tmp_path / "003_dom0_5_6_7.txt").write_text(" ".join(map(str, range(20))))
+        with pytest.raises(DatasetError, match="'003_dom0_5_6_7'"):
+            prepare_run(config(synth=None, dataset_root=str(tmp_path)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        series=st.lists(_split_series(), min_size=1, max_size=3),
+        budget=st.tuples(st.integers(0, 40), st.integers(1, 20), st.integers(1, 40)),
+        period_source=st.sampled_from(["train", "test"]),
+    )
+    def test_fuzzed_series_lengths_raise_only_dataset_or_config_errors(
+        self, series, budget, period_source
+    ):
+        rng = np.random.default_rng(0)
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, (n, train_end, start, end, kind) in enumerate(series):
+                t = np.arange(n)
+                values = {
+                    "sine": np.sin(2 * np.pi * t / 12),
+                    "constant": np.full(n, 3.0),
+                    "noise": rng.normal(size=n),
+                }[kind]
+                name = f"{i:03d}_dom{i % 2}_{train_end}_{start}_{end}.txt"
+                (Path(tmp) / name).write_text(" ".join(map(repr, values.tolist())))
+            cfg = ExperimentConfig(
+                dataset_root=tmp, budget=Budget(*budget), period_source=period_source
+            )
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    prepare_run(cfg)
+            except (DatasetError, ConfigError):
+                pass
+
 
 class TestSharedRetrieval:
     """Every consumer of a prepared run scores a test query once."""
@@ -209,6 +257,38 @@ class TestSharedRetrieval:
         calls = spy_scores(monkeypatch)
         sweep_pool_fraction(cfg, [1.0, 0.75, 0.5, 0.25])
         assert collections.Counter(calls) == dict.fromkeys(queries, 1)
+
+    def test_examples_are_retrieve_best_winners(self):
+        cfg = config(workers=4)
+        data = prepare_run(cfg)
+        run_setting(cfg, "ratfm_linear", data=data)
+        n_examples = 0
+        for s in data.series:
+            for region in ("test", "train"):
+                windows, (examples,) = harness._retrieved(cfg, data, s, region)
+                for w, example in zip(windows, examples):
+                    query = harness._retrieval_query(w, cfg.budget.example_len)
+                    try:
+                        assert example is retrieve_best(query, data.pools[s.domain])[0]
+                        n_examples += 1
+                    except RatfmError as exc:
+                        assert example == str(exc)
+        assert n_examples > 0
+
+    def test_fractions_are_cached_one_by_one(self, monkeypatch):
+        cfg = config()
+        data = prepare_run(cfg)
+        s = data.series[0]
+        calls = spy_scores(monkeypatch)
+        windows, both = harness._retrieved(cfg, data, s, "test", (1.0, 0.5))
+        assert len(calls) == len(windows) > 0
+        calls.clear()
+        assert harness._retrieved(cfg, data, s, "test", (0.5,))[1][0] is both[1]
+        assert harness._retrieved(cfg, data, s, "test", (1.0,))[1][0] is both[0]
+        assert calls == []
+        harness._retrieved(cfg, data, s, "test", (0.25,))
+        assert collections.Counter(calls) == dict.fromkeys(calls, 1)
+        assert len(calls) == len(windows)
 
     @pytest.mark.parametrize("setting", ["ratfm_copy", "ratfm_linear"])
     def test_other_eval_stride_on_the_same_run_equals_a_fresh_run(self, setting):

@@ -167,8 +167,11 @@ class TestRetrieveBest:
         pool = CandidatePool(
             domain="d", entries=[win("a", 0, np.ones(4)), win("b", 0, np.ones(6))]
         )
-        with pytest.raises(InconsistentWindowLengthError):
-            retrieve_best(q, pool)
+        for _ in range(2):  # a failed build is not kept
+            with pytest.raises(InconsistentWindowLengthError):
+                retrieve_best(q, pool)
+            with pytest.raises(InconsistentWindowLengthError):
+                candidate_scores(q, pool)
 
     def test_zero_norm_query(self):
         pool = CandidatePool(domain="d", entries=[win("o", 0, np.ones(4))])
