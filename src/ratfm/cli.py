@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: ``ingest`` (validate a dataset), ``synth`` (write a
-synthetic dataset), ``run`` (evaluate one setting), ``sweep``
-(candidate-pool fraction sweep), ``diag-similarity`` (reference-segment
-similarity diagnostics).  Exit codes: 0 success, 2 config error,
-3 dataset error.
+Subcommands: ``ingest`` (validate a dataset with the checks a run
+makes while preparing it), ``synth`` (write a synthetic dataset),
+``run`` (evaluate one setting), ``sweep`` (candidate-pool fraction
+sweep), ``diag-similarity`` (reference-segment similarity diagnostics).
+Exit codes: 0 success, 2 config error, 3 dataset error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .harness import (
     SETTINGS,
     ExperimentConfig,
     emit_reports,
+    prepare_series,
     run_setting,
     similarity_diagnostics,
     sweep_pool_fraction,
@@ -93,6 +94,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         raise DatasetError(f"no series files found under {args.root}")
     domains: dict[str, int] = {}
     for s in series:
+        prepare_series(s)
         domains[s.domain] = domains.get(s.domain, 0) + 1
     print(f"parsed {len(series)} series across {len(domains)} domains")
     for dom in sorted(domains):

@@ -131,14 +131,22 @@ def parse_ucr_file(path: str | Path) -> LabeledSeries:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     if not tokens:
         raise EmptySeriesError(f"{path.name}: file holds no values")
-    values = np.empty(len(tokens), dtype=np.float64)
-    for i, tok in enumerate(tokens):
-        try:
-            values[i] = float(tok)
-        except ValueError as exc:
-            raise NonNumericTokenError(f"{path.name}: bad token {tok!r}") from exc
-        if not math.isfinite(values[i]):
-            raise NonNumericTokenError(f"{path.name}: non-finite token {tok!r}")
+    # numpy parses each string with Python's float(), so the bulk values
+    # are bitwise those of float(tok); on failure the loop names the first
+    # offending token
+    try:
+        values = np.array(tokens, dtype=np.float64)
+        finite = bool(np.isfinite(values).all())
+    except ValueError:
+        finite = False
+    if not finite:
+        for tok in tokens:
+            try:
+                value = float(tok)
+            except ValueError as exc:
+                raise NonNumericTokenError(f"{path.name}: bad token {tok!r}") from exc
+            if not math.isfinite(value):
+                raise NonNumericTokenError(f"{path.name}: non-finite token {tok!r}")
 
     return LabeledSeries(
         id=path.stem,

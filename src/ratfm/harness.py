@@ -184,9 +184,10 @@ def _build(cls, fields: dict):
 class PreparedRun:
     """Standardized series, per-series periods, and per-domain pools.
 
-    ``_examples`` holds each series' retrieved examples per pool
-    fraction, filled lazily by :func:`_retrieved` so that every consumer
-    of the run scores a window's query once.
+    ``_examples`` holds each series' windows and, per pool fraction,
+    their retrieved examples, filled lazily by :func:`_retrieved` so
+    that every retrieval consumer of the run cuts a series' windows and
+    scores a window's query once.
     """
 
     series: list[LabeledSeries]
@@ -204,6 +205,22 @@ def _load_series(config: ExperimentConfig) -> list[LabeledSeries]:
     return series
 
 
+def prepare_series(
+    raw: LabeledSeries, period_source: str = "train"
+) -> tuple[LabeledSeries, int]:
+    """Standardize one series and estimate its period from ``period_source``.
+
+    A series too short for either step is a :class:`DatasetError` naming
+    it; ``ratfm ingest`` runs this too, so it rejects what a run would.
+    """
+    try:
+        std, _ = standardize(raw)
+        source = std.train_values if period_source == "train" else std.test_values
+        return std, estimate_period(source).period
+    except SeriesTooShortError as exc:
+        raise DatasetError(f"series {raw.id!r} cannot be prepared: {exc}") from exc
+
+
 def prepare_run(config: ExperimentConfig) -> PreparedRun:
     """Standardize, estimate periods, and build retrieval pools."""
     config.validate()
@@ -216,14 +233,7 @@ def prepare_run(config: ExperimentConfig) -> PreparedRun:
     periods = {}
     by_domain: dict[str, list[Window]] = {}
     for raw in _load_series(config):
-        try:
-            std, _ = standardize(raw)
-            source = (
-                std.train_values if config.period_source == "train" else std.test_values
-            )
-            periods[std.id] = estimate_period(source).period
-        except SeriesTooShortError as exc:
-            raise DatasetError(f"series {raw.id!r} cannot be prepared: {exc}") from exc
+        std, periods[raw.id] = prepare_series(raw, config.period_source)
         series.append(std)
         regions = ["train"] if config.retrieval_region == "train" else ["train", "test"]
         for region in regions:
@@ -277,13 +287,16 @@ def _retrieved(
     a pool passed through :func:`subsample_pool`), the lowest index on
     ties, or the message of the :class:`RatfmError` retrieval raised.
     Examples are cached per prepared run, series, region, window
-    geometry (budget and eval stride) and fraction; only fractions not
-    cached yet are retrieved.  No lock is held while retrieving: series
+    geometry (budget and eval stride) and fraction, and the windows
+    under the same key without the fraction; only fractions not cached
+    yet are retrieved.  No lock is held while retrieving: series
     ids are unique, so two threads fill the same entry only when two
     runs share ``data`` at once, and both then store the same examples.
     """
-    windows = _windows(config, series, region)
     key = (series.id, region, config.budget, _eval_stride(config))
+    if key not in data._examples:
+        data._examples[key] = _windows(config, series, region)
+    windows = data._examples[key]
     missing = [f for f in fractions if key + (f,) not in data._examples]
     if missing:
         # a domain without a pool fails every query, as an empty pool does

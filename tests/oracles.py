@@ -149,3 +149,24 @@ def mu_3sigma_labels(values: np.ndarray) -> tuple[np.ndarray, float]:
     threshold = mean + 3.0 * math.sqrt(var)
     labels = np.array([1 if float(v) > threshold else 0 for v in values], dtype=np.uint8)
     return labels, threshold
+
+
+def refine_peak_dense(centered: np.ndarray, k_star: int) -> float:
+    """Two-stage fine-grid spectral peak from a dense (41, n) DTFT matrix.
+
+    Stage one steps 0.05 bins over [k_star - 1, k_star + 1], stage two
+    0.005 bins around its winner; each grid is clamped to [0.5, n / 2]
+    and the first maximal |DTFT| wins.
+    """
+    n = len(centered)
+    t = np.arange(n)
+    best = float(k_star)
+    half_width = 1.0
+    for _ in range(2):
+        lo = max(best - half_width, 0.5)
+        hi = min(best + half_width, n / 2)
+        grid = np.linspace(lo, hi, 41)
+        response = np.abs(np.exp(-2j * np.pi * np.outer(grid, t) / n) @ centered)
+        best = float(grid[np.argmax(response)])
+        half_width /= 10.0
+    return best

@@ -71,6 +71,23 @@ class TestSynthIngest:
         assert main(["ingest", str(ds)]) == 3
         assert "duplicate series id" in capsys.readouterr().err
 
+    def test_ingest_rejects_what_run_cannot_prepare(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["synth", "--out", str(ds), "--domains", "1",
+                     "--series-per-domain", "2", "--seed", "3"]) == 0
+        assert main(["ingest", str(ds)]) == 0
+        capsys.readouterr()
+        (ds / "003_dom0_5_6_7.txt").write_text(" ".join(map(str, range(20))))
+        assert main(["ingest", str(ds)]) == 3
+        ingest_err = capsys.readouterr().err
+        assert main(["run", "--setting", "zero_shot_naive", "--dataset", str(ds),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert ingest_err == capsys.readouterr().err
+        assert ingest_err == (
+            "dataset error: series '003_dom0_5_6_7' cannot be prepared: "
+            "need at least 8 points, got 5\n"
+        )
+
 
 class TestRun:
     def test_run_writes_reports(self, tmp_path, capsys):

@@ -103,6 +103,51 @@ class TestParse:
         s = parse_ucr_file(path)
         assert np.array_equal(s.values, vals)
 
+    def test_values_are_float_of_each_token_bitwise(self, tmp_path):
+        tokens = ["0.1", "5e-324", "2.4703282292062328e-324", "1e-400", "-0",
+                  "1.7976931348623157e308", "0.1000000000000000055511151231257827",
+                  "1_000", "+.5", "1.", "\uff11\uff12", "-3E+2", "7"]
+        path = tmp_path / "a_b_3_4_5.txt"
+        path.write_text(" \n".join(tokens))
+        expected = np.array([float(tok) for tok in tokens])
+        assert parse_ucr_file(path).values.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from(["{!r}", "{:.17g}", "{:.25e}", "{:.3f}", "{:.0f}"]),
+            ),
+            min_size=6,
+            max_size=40,
+        )
+    )
+    def test_fuzzed_values_are_float_of_each_token_bitwise(self, numbers):
+        tokens = [fmt.format(x) for x, fmt in numbers]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a_b_3_4_5.txt"
+            path.write_text(" ".join(tokens))
+            values = parse_ucr_file(path).values
+        assert values.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 2 abc nan 4", "bad token 'abc'"),
+            ("1 2 nan abc 4", "non-finite token 'nan'"),
+            ("1 -inf 0x1f 4", "non-finite token '-inf'"),
+            ("1 0x1f 1e999 4", "bad token '0x1f'"),
+            ("1 1e999 2 nan", "non-finite token '1e999'"),
+        ],
+    )
+    def test_first_offending_token_is_named(self, tmp_path, text, message):
+        path = tmp_path / "a_b_1_2_3.txt"
+        path.write_text(text)
+        with pytest.raises(NonNumericTokenError) as info:
+            parse_ucr_file(path)
+        assert str(info.value) == f"a_b_1_2_3.txt: {message}"
+
     def test_load_dataset_sorted(self, tmp_path):
         write_series(tmp_path, "002_B_3_5_6.txt", range(10))
         write_series(tmp_path, "001_A_3_5_6.txt", range(10))

@@ -290,6 +290,34 @@ class TestSharedRetrieval:
         assert collections.Counter(calls) == dict.fromkeys(calls, 1)
         assert len(calls) == len(windows)
 
+    def test_windows_are_cut_once_per_prepared_run(self, monkeypatch):
+        cfg = config(workers=4)
+        te, h, tt = cfg.budget
+        calls = []
+        real = harness.make_windows
+
+        def spy(series, region, input_len, horizon, stride):
+            if input_len == te + h + tt:  # not a pool window
+                calls.append((series.id, region, horizon, stride))
+            return real(series, region, input_len, horizon, stride)
+
+        monkeypatch.setattr(harness, "make_windows", spy)
+        data = prepare_run(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_setting(cfg, "ratfm_copy", data=data)
+            run_setting(cfg, "ratfm_linear", data=data)
+            similarity_diagnostics(cfg, data=data)
+        finally:
+            sys.setswitchinterval(interval)
+        ids = [s.id for s in data.series]
+        expected = {(sid, region, h, h) for sid in ids for region in ("test", "train")}
+        assert collections.Counter(calls) == dict.fromkeys(expected, 1)
+        calls.clear()
+        sweep_pool_fraction(cfg, [1.0, 0.5])  # prepares its own run
+        assert collections.Counter(calls) == {(sid, "test", h, h): 1 for sid in ids}
+
     @pytest.mark.parametrize("setting", ["ratfm_copy", "ratfm_linear"])
     def test_other_eval_stride_on_the_same_run_equals_a_fresh_run(self, setting):
         cfg = config()

@@ -1,9 +1,14 @@
 import csv
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import mu_3sigma_labels, sma_formula
+import ratfm.scoring as scoring
+from oracles import mu_3sigma_labels, refine_peak_dense, sma_formula
 from ratfm.errors import InvalidWindowError, LengthMismatchError, SeriesTooShortError
 from ratfm.scoring import (
     ScoreSeries,
@@ -72,6 +77,48 @@ class TestEstimatePeriod:
         t = np.arange(2000)
         est = estimate_period(np.sin(2 * np.pi * t / 96))
         assert est.period == 96
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(64, 20_000),
+        period_share=st.floats(0.0, 1.0),
+        noise=st.floats(0.0, 1.0),
+        phases=st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_refine_peak_matches_dense_oracle(self, n, period_share, noise, phases, seed):
+        # a non-integer period in [2.5, n / 4], its second harmonic and noise
+        period = 2.5 + period_share * (n / 4 - 2.5)
+        t = np.arange(n)
+        x = (
+            np.sin(2 * np.pi * t / period + phases[0])
+            + 0.3 * np.sin(4 * np.pi * t / period + phases[1])
+            + noise * np.random.default_rng(seed).standard_normal(n)
+        )
+        centered = x - x.mean()
+        k_star = 1 + int(np.argmax(np.abs(np.fft.rfft(centered))[1 : n // 2 + 1]))
+        assert scoring._refine_peak(centered, k_star) == refine_peak_dense(
+            centered, k_star
+        )
+        with mock.patch.object(scoring, "_refine_peak", refine_peak_dense):
+            expected = estimate_period(x)
+        assert estimate_period(x) == expected
+
+    def test_million_points_in_bounded_memory(self):
+        n = 1_000_000
+        t = np.arange(n)
+        noise = np.random.default_rng(6).standard_normal(n)
+        x = np.sin(2 * np.pi * t / 250 + 0.3) + 0.2 * noise
+        tracemalloc.start()
+        try:
+            est = estimate_period(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a dense (41, n) complex grid matrix alone would take 0.66 GB
+        assert peak < 64 * 2**20
+        assert est.period == 250 and not est.fallback_used
 
 
 class TestSmaSmooth:
@@ -181,3 +228,39 @@ class TestCsvDump:
         assert rows[1][:2] == ["abc", "100"]
         assert rows[2][4] == "1"
         assert float(rows[2][2]) == 0.2
+
+    @pytest.mark.parametrize(
+        "series_id",
+        ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rlf", " lead", "",
+         "séries_ü_日本"],
+    )
+    def test_bytes_match_csv_writer_per_row(self, tmp_path, series_id):
+        raw = np.array([0.0, 5e-324, 0.1, 1e300, 2.5])
+        smoothed = np.array([1e300, 0.1, 5e-324, 0.0, 1.0 / 3.0])
+        for labels in (np.array([0, 1, 1, 0, 1], dtype=np.uint8),
+                       np.array([True, False, True, False, False])):
+            for n_rows in (0, 1, len(raw)):
+                args = (series_id, 7, raw[:n_rows], smoothed[:n_rows],
+                        labels[:n_rows], 0.30000000000000004)
+                dump_scores_csv(tmp_path / "fast.csv", *args)
+                per_row_csv(tmp_path / "ref.csv", *args)
+                expected = (tmp_path / "ref.csv").read_bytes()
+                assert (tmp_path / "fast.csv").read_bytes() == expected
+
+
+def per_row_csv(path, series_id, t_absolute_start, raw, smoothed, labels, threshold):
+    """The score CSV written one ``csv.writer`` row per point."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["series_id", "t_absolute", "raw_score", "smoothed_score", "label", "threshold"]
+        )
+        for i in range(len(raw)):
+            writer.writerow([
+                series_id,
+                t_absolute_start + i,
+                repr(float(raw[i])),
+                repr(float(smoothed[i])),
+                int(labels[i]),
+                repr(threshold),
+            ])
