@@ -45,9 +45,9 @@ from .forecast import (
 from .metrics import EvalReport, GroundTruth, ScoreDump, pointwise_prf, vus
 from .retrieval import (
     CandidatePool,
-    best_candidate,
-    candidate_scores,
+    best_candidates,
     ncc_max,
+    no_candidate,
     subsample_indices,
     subsample_pool,
 )
@@ -281,11 +281,11 @@ def _retrieved(
 ) -> tuple[list[Window], list[list[Window | str]]]:
     """A series' windows in ``region`` and, per fraction, each window's example.
 
-    A window's query is scored once against the whole domain pool
-    (:func:`candidate_scores`); a fraction's example is the best of
-    those scores over the entries :func:`subsample_indices` keeps (as in
-    a pool passed through :func:`subsample_pool`), the lowest index on
-    ties, or the message of the :class:`RatfmError` retrieval raised.
+    A window's query is scored once for all fractions
+    (:func:`best_candidates`); a fraction's example is the best entry
+    among those :func:`subsample_indices` keeps (as in a pool passed
+    through :func:`subsample_pool`), the lowest index on ties, or the
+    message of the :class:`RatfmError` retrieval raised.
     Examples are cached per prepared run, series, region, window
     geometry (budget and eval stride) and fraction, and the windows
     under the same key without the fraction; only fractions not cached
@@ -301,23 +301,20 @@ def _retrieved(
     if missing:
         # a domain without a pool fails every query, as an empty pool does
         pool = data.pools.get(series.domain) or CandidatePool(series.domain, [])
-        kept = {f: subsample_indices(len(pool), f, config.seed) for f in missing}
-        found: dict[float, list] = {f: [] for f in missing}
+        kept = [subsample_indices(len(pool), f, config.seed) for f in missing]
+        found: list[list] = [[] for _ in missing]
         for w in windows:
             query = _retrieval_query(w, config.budget.example_len)
             try:
-                scores = candidate_scores(query, pool)
+                picks = [
+                    pool.entries[won[0]] if won else str(no_candidate(query, pool))
+                    for won in best_candidates(query, pool, kept)
+                ]
             except RatfmError as exc:
-                for examples in found.values():
-                    examples.append(str(exc))
-                continue
-            for f, idx in kept.items():
-                try:
-                    best = idx[best_candidate(scores[idx], query, pool)]
-                    found[f].append(pool.entries[best])
-                except RatfmError as exc:
-                    found[f].append(str(exc))
-        for f, examples in found.items():
+                picks = [str(exc)] * len(missing)
+            for examples, pick in zip(found, picks):
+                examples.append(pick)
+        for f, examples in zip(missing, found):
             data._examples[key + (f,)] = examples
     return windows, [data._examples[key + (f,)] for f in fractions]
 
@@ -554,6 +551,8 @@ def sweep_pool_fraction(
     config: ExperimentConfig,
     fractions: list[float] | None = None,
     setting: str = "ratfm_copy",
+    *,
+    data: PreparedRun | None = None,
 ) -> SweepResult:
     """Evaluate ``setting`` with the candidate pools subsampled to each fraction.
 
@@ -561,7 +560,9 @@ def sweep_pool_fraction(
     through :func:`subsample_pool` (seeded by ``config.seed``), but each
     test query is scored once for all fractions (:func:`_retrieved`).
     The forecaster (for the linear setting) is trained once on the full
-    pools and reused.
+    pools and reused.  ``data`` shares a prepared run as in
+    :func:`run_setting`: fractions another call on it already retrieved
+    are not retrieved again.
     """
     _check_setting(setting)
     config.validate()
@@ -569,7 +570,8 @@ def sweep_pool_fraction(
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise InvalidFractionError(f"fractions must lie in (0, 1], got {f}")
-    data = prepare_run(config)
+    if data is None:
+        data = prepare_run(config)
     trained = None
     if setting == "ratfm_linear":
         trained, _ = _train_forecaster(config, data)

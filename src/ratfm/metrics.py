@@ -92,16 +92,25 @@ def continuous_labels(truth: GroundTruth, width: int) -> np.ndarray:
     """
     if width < 0:
         raise ValueError(f"width must be >= 0, got {width}")
-    n = len(truth.labels)
-    if not truth.spans:
-        return np.zeros(n, dtype=np.float64)
-    if width == 0:
-        return truth.labels.astype(np.float64)
-    t = np.arange(n)
-    dist = np.full(n, np.inf)
+    return _soft_labels(truth, _span_distances(truth), width)
+
+
+def _span_distances(truth: GroundTruth) -> np.ndarray:
+    """Each point's distance to the nearest span (0 inside one)."""
+    t = np.arange(len(truth.labels))
+    dist = np.full(len(t), np.inf)
     for start, end in truth.spans:
         d = np.maximum(np.maximum(start - t, t - end), 0)
         dist = np.minimum(dist, d)
+    return dist
+
+
+def _soft_labels(truth: GroundTruth, dist: np.ndarray, width: int) -> np.ndarray:
+    """:func:`continuous_labels` from the truth's :func:`_span_distances`."""
+    if not truth.spans:
+        return np.zeros(len(dist), dtype=np.float64)
+    if width == 0:
+        return truth.labels.astype(np.float64)
     return np.sqrt(np.clip(1.0 - dist / width, 0.0, None))
 
 
@@ -156,7 +165,8 @@ def vus(
     Buffer widths are ``steps + 1`` evenly spaced values from 0 to
     ``w_max``, rounded to integers and deduplicated; ``w_max=0``
     degenerates to the plain soft-label-free areas.  Each width's areas
-    follow :func:`auc_weighted`; the scores are sorted once per call.
+    follow :func:`auc_weighted`; the scores are sorted, and the distances
+    to the spans measured, once per call.
     """
     if w_max < 0:
         raise ValueError(f"w_max must be >= 0, got {w_max}")
@@ -168,9 +178,9 @@ def vus(
     widths = np.unique(np.rint(np.linspace(0.0, w_max, steps + 1)).astype(int))
     rocs = np.empty(len(widths))
     prs = np.empty(len(widths))
+    dist = _span_distances(truth)
     for i, w in enumerate(widths):
-        soft = continuous_labels(truth, int(w))
-        rocs[i], prs[i] = _soft_areas(values, soft, order)
+        rocs[i], prs[i] = _soft_areas(values, _soft_labels(truth, dist, int(w)), order)
     if len(widths) == 1:
         return float(rocs[0]), float(prs[0])
     span = float(widths[-1] - widths[0])

@@ -5,13 +5,22 @@ lags of their zero-padded (linear) cross-correlation, normalized by the
 product of the full-vector Euclidean norms: the shape-based distance of
 k-Shape, computed with FFTs as in MASS.
 
-Retrieval is max-first.  Each candidate is scored by the plain maximum
-of its correlation sequence, computed over the usable rows of the pool
-in fixed blocks so the temporaries stay small (:func:`candidate_scores`),
-and the winner is the highest score (:func:`best_candidate`).  The lag
-tie rule (smaller ``|lag|``, then the negative lag) changes only which
-lag is reported, never a candidate's score, so it runs once, on the
-winner's row.
+Retrieval is exact and pruned by an upper bound, as in the UCR suite
+(Rakthanmanon et al., KDD 2012): with ``nfft >= 2L - 1`` every lag obeys
+``|cc_k| <= (1/nfft) * sum_f w_f |Q_f| |C_f|`` over the rfft bins, ``w_f``
+1 at DC and Nyquist and 2 elsewhere.  :func:`best_candidates` scores rows
+best bound first, in index-sorted blocks of ``_CHUNK_ROWS``, until the
+next bound is below (``<``, so ties are scored) the lowest best of the
+subsets asked for; each winner and score is bitwise the exhaustive one.
+The float32 bound's terms and sum over ``n`` bins round off by at most a
+relative ``(n + 2) * 2**-24`` (Higham, "Accuracy and Stability of
+Numerical Algorithms", ch. 4); it is raised by ``(n + 3) * 2**-20``, and
+by ``1e-9`` for a computed score's float64 FFT round-off, about
+``2**-53 * log2(nfft)``.
+
+The lag tie rule (smaller ``|lag|``, then the negative lag) changes only
+which lag is reported, never a candidate's score, so it runs once, on
+the winner's row.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ class SimilarityResult:
     candidate_index: int = -1
 
 
-# rows of the pool correlated per block in candidate_scores
+# rows of the pool correlated per block in best_candidates
 _CHUNK_ROWS = 64
 
 
@@ -69,9 +78,10 @@ class CandidatePool:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(entries matrix, per-entry norms, per-entry series ids, complex
-        conjugates of the entries' ``_fft_size(width)``-point spectra)."""
+    def _arrays(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(window length, per-entry norms, per-entry series ids, complex
+        conjugates of the entries' ``_fft_size(width)``-point spectra,
+        float32 magnitudes of those spectra over the entries' norms)."""
         if self._built is None:
             with self._lock:
                 if self._built is None:
@@ -83,11 +93,17 @@ class CandidatePool:
                     stack = np.ascontiguousarray(
                         np.stack([e.input for e in self.entries]), dtype=np.float64
                     )
+                    width = stack.shape[1]
                     norms = np.linalg.norm(stack, axis=1)
                     series_ids = np.array([e.series_id for e in self.entries])
-                    spectra = np.fft.rfft(stack, _fft_size(stack.shape[1]), axis=1)
+                    spectra = np.fft.rfft(stack, _fft_size(width), axis=1)
+                    del stack
                     np.conj(spectra, out=spectra)
-                    self._built = (stack, norms, series_ids, spectra)
+                    # unit-norm magnitudes cannot overflow float32
+                    mags = np.abs(spectra)
+                    mags /= np.where(norms > 0.0, norms, 1.0)[:, None]
+                    mags = mags.astype(np.float32)
+                    self._built = (width, norms, series_ids, spectra, mags)
         return self._built
 
 
@@ -139,64 +155,89 @@ def ncc_max(
     )
 
 
-def _no_candidate(query: Window, pool: CandidatePool) -> EmptyPoolError:
+def no_candidate(query: Window, pool: CandidatePool) -> EmptyPoolError:
+    """The error for a query none of whose pool entries is usable."""
     return EmptyPoolError(
         f"pool for domain {pool.domain!r} has no candidate outside "
         f"series {query.series_id!r}"
     )
 
 
-def candidate_scores(query: Window, pool: CandidatePool) -> np.ndarray:
-    """Every pool entry's :func:`ncc_max` score against the query input.
+def _score_bounds(fq: np.ndarray, qnorm: float, mags: np.ndarray) -> np.ndarray:
+    """Per pool row, an upper bound on the score :func:`_block_scores`
+    computes against a query of spectrum ``fq`` and norm ``qnorm``, from
+    the pool's float32 unit-norm magnitudes ``mags`` (module docstring)."""
+    n = len(fq)
+    weighted = np.abs(fq) / qnorm
+    weighted[1:-1] *= 2.0  # every bin but DC and Nyquist has a conjugate twin
+    sums = (mags @ weighted.astype(np.float32)).astype(np.float64)
+    return sums * ((1.0 + (n + 3) * 2.0**-20) / (2 * (n - 1))) + 1e-9
 
-    A candidate's score is the maximum of its cross-correlation over all
-    lags, divided by the two norms.  Entries from the query's own series
-    and all-zero entries score ``-inf`` and are never correlated; the
-    others are correlated in blocks of ``_CHUNK_ROWS`` rows.  Raises the
-    errors of :func:`retrieve_best`, including when no entry is usable.
+
+def _block_scores(fq, L, qnorm, spectra, norms, block) -> np.ndarray:
+    """Scores of the pool rows ``block`` against a length-``L`` query of
+    spectrum ``fq`` and norm ``qnorm``: each row's maximum
+    cross-correlation over all lags, divided by the two norms."""
+    nfft = 2 * (len(fq) - 1)
+    # circular lags 0..L-1 sit at the front, -(L-1)..-1 at the back
+    prod = spectra[block]
+    circ = np.fft.irfft(np.multiply(fq, prod, out=prod), nfft, axis=1)
+    peaks = np.maximum(circ[:, :L].max(axis=1), circ[:, nfft - L + 1 :].max(axis=1))
+    return peaks / (qnorm * norms[block])
+
+
+def best_candidates(
+    query: Window, pool: CandidatePool, subsets: list[np.ndarray]
+) -> list[tuple[int, float] | None]:
+    """Each subset's best pool entry by :func:`ncc_max` score against the query.
+
+    ``subsets`` are arrays of pool indices.  A subset's winner is
+    ``(index, score)`` of its highest-scoring usable entry, the lowest
+    index on ties, or ``None`` when none is usable; entries from the
+    query's own series and all-zero entries are unusable and never
+    correlated, nor are rows whose bound cannot win (module docstring).
+    Raises the errors of :func:`retrieve_best` but the missing candidate.
     """
     if not pool.entries:
         raise EmptyPoolError(f"pool for domain {pool.domain!r} is empty")
     q = np.asarray(query.input, dtype=np.float64)
     L = len(q)
-    stack, norms, series_ids, spectra = pool._arrays()
-    if stack.shape[1] != L:
+    width, norms, series_ids, spectra, mags = pool._arrays()
+    if width != L:
         raise InconsistentWindowLengthError(
-            f"pool windows have length {stack.shape[1]}, query has {L}"
+            f"pool windows have length {width}, query has {L}"
         )
     if L < 2:
         raise LengthMismatchError("query input must have length >= 2")
     qnorm = float(np.linalg.norm(q))
     if qnorm == 0.0:
         raise ZeroNormVectorError("query window is all-zero")
-    rows = np.flatnonzero((norms > 0.0) & (series_ids != query.series_id))
-    if not len(rows):
-        raise _no_candidate(query, pool)
-
-    nfft = _fft_size(L)
-    fq = np.fft.rfft(q, nfft)
-    scores = np.full(len(norms), -np.inf)
+    member = np.zeros((len(subsets), len(norms)), dtype=bool)
+    for j, idx in enumerate(subsets):
+        member[j, idx] = True
+    member &= (norms > 0.0) & (series_ids != query.series_id)
+    live = member.any(axis=1)
+    best = np.full(len(subsets), -np.inf)
+    best_idx = np.full(len(subsets), -1)
+    rows = np.flatnonzero(member.any(axis=0))
+    fq = np.fft.rfft(q, _fft_size(L))
+    bounds = _score_bounds(fq, qnorm, mags)[rows]
+    order = np.argsort(-bounds, kind="stable")
+    rows, bounds = rows[order], bounds[order]
     for lo in range(0, len(rows), _CHUNK_ROWS):
-        block = rows[lo : lo + _CHUNK_ROWS]
-        # circular lags 0..L-1 sit at the front, -(L-1)..-1 at the back
-        prod = spectra[block]
-        circ = np.fft.irfft(np.multiply(fq, prod, out=prod), nfft, axis=1)
-        peaks = np.maximum(circ[:, :L].max(axis=1), circ[:, nfft - L + 1 :].max(axis=1))
-        scores[block] = peaks / (qnorm * norms[block])
-    return scores
-
-
-def best_candidate(scores: np.ndarray, query: Window, pool: CandidatePool) -> int:
-    """Index of the highest of ``scores``, the lowest index on ties.
-
-    ``scores`` comes from :func:`candidate_scores` for ``query`` and
-    ``pool``, possibly restricted to a subset of the pool's rows; raises
-    :class:`EmptyPoolError` when every one of them is ``-inf``.
-    """
-    idx = int(np.argmax(scores))
-    if scores[idx] == -np.inf:
-        raise _no_candidate(query, pool)
-    return idx
+        # bounds descend: the rows whose bound reaches the lowest best lead
+        n_open = np.count_nonzero(bounds[lo : lo + _CHUNK_ROWS] >= best[live].min())
+        if not n_open:
+            break
+        block = np.sort(rows[lo : lo + n_open])
+        block_scores = _block_scores(fq, L, qnorm, spectra, norms, block)
+        scores = np.where(member[:, block], block_scores, -np.inf)
+        k = scores.argmax(axis=1)
+        top = scores.max(axis=1)
+        better = (top > best) | ((top == best) & (block[k] < best_idx))
+        best = np.where(better, top, best)
+        best_idx = np.where(better, block[k], best_idx)
+    return [(int(i), float(s)) if i >= 0 else None for i, s in zip(best_idx, best)]
 
 
 def retrieve_best(
@@ -204,17 +245,19 @@ def retrieve_best(
 ) -> tuple[Window, SimilarityResult]:
     """Pool entry maximizing :func:`ncc_max` against the query input.
 
-    Candidates are scored by :func:`candidate_scores`: entries from the
-    query's own series and all-zero entries are skipped, and ties
-    between candidates go to the lowest pool index.  The reported lag is
-    :func:`ncc_max`'s for the winner alone, since its lag tie rule never
-    changes a score.
+    The winner is :func:`best_candidates`' over the whole pool: entries
+    from the query's own series and all-zero entries are skipped, and
+    ties between candidates go to the lowest pool index.  The reported
+    lag is :func:`ncc_max`'s for the winner alone, since its lag tie
+    rule never changes a score.
     """
-    scores = candidate_scores(query, pool)
-    idx = best_candidate(scores, query, pool)
+    (won,) = best_candidates(query, pool, [np.arange(len(pool))])
+    if won is None:
+        raise no_candidate(query, pool)
+    idx, score = won
     winner = pool.entries[idx]
     result = SimilarityResult(
-        score=float(np.clip(scores[idx], -1.0, 1.0)),
+        score=float(np.clip(score, -1.0, 1.0)),
         best_lag=ncc_max(query.input, winner.input).best_lag,
         candidate_index=idx,
     )

@@ -35,6 +35,37 @@ def ncc_direct(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
     return best / denom, best_lag
 
 
+def exhaustive_scores(query, entries) -> np.ndarray:
+    """Every entry's max-NCC score against ``query.input``, all rows at once.
+
+    The arithmetic retrieval applies per block (one zero-padded FFT
+    correlation per row, the larger peak of the two lag ranges, divided
+    by both norms), without any pruning; entries of the query's series
+    and all-zero entries score ``-inf``.
+    """
+    q = np.asarray(query.input, dtype=np.float64)
+    stack = np.stack([np.asarray(e.input, dtype=np.float64) for e in entries])
+    L = len(q)
+    nfft = 1 << (2 * L - 1).bit_length()
+    circ = np.fft.irfft(
+        np.fft.rfft(q, nfft) * np.conj(np.fft.rfft(stack, nfft, axis=1)), nfft, axis=1
+    )
+    peaks = np.maximum(circ[:, :L].max(axis=1), circ[:, nfft - L + 1 :].max(axis=1))
+    norms = np.linalg.norm(stack, axis=1)
+    usable = (norms > 0) & np.array([e.series_id != query.series_id for e in entries])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = peaks / (np.linalg.norm(q) * norms)
+    return np.where(usable, scores, -np.inf)
+
+
+def exhaustive_best(scores: np.ndarray, subset) -> int | None:
+    """Lowest index of the highest of ``scores[subset]``; None if all ``-inf``."""
+    subset = np.asarray(subset)
+    if not len(subset) or np.all(scores[subset] == -np.inf):
+        return None
+    return int(subset[np.argmax(scores[subset])])
+
+
 def confusion_prf(pred, truth) -> tuple[float, float, float]:
     tp = fp = fn = 0
     for p, t in zip(pred, truth):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import ratfm.harness as harness
 import ratfm.retrieval as retrieval
+from oracles import exhaustive_best, exhaustive_scores
 from ratfm.errors import ConfigError, DatasetError, InvalidFractionError, RatfmError
 from ratfm.forecast import Budget
 from ratfm.harness import (
@@ -56,16 +57,16 @@ def retrieval_queries(cfg, data):
 
 
 def spy_scores(monkeypatch):
-    """List that records (series id, query start) per candidate_scores call."""
+    """List that records (series id, query start) per best_candidates call."""
     calls = []
-    real = retrieval.candidate_scores
+    real = retrieval.best_candidates
 
-    def spy(query, pool):
+    def spy(query, pool, subsets):
         calls.append((query.series_id, query.start))
-        return real(query, pool)
+        return real(query, pool, subsets)
 
-    monkeypatch.setattr(retrieval, "candidate_scores", spy)
-    monkeypatch.setattr(harness, "candidate_scores", spy)
+    monkeypatch.setattr(retrieval, "best_candidates", spy)
+    monkeypatch.setattr(harness, "best_candidates", spy)
     return calls
 
 
@@ -290,6 +291,21 @@ class TestSharedRetrieval:
         assert collections.Counter(calls) == dict.fromkeys(calls, 1)
         assert len(calls) == len(windows)
 
+    def test_sweep_on_a_prepared_run_reuses_its_examples(self, monkeypatch):
+        cfg = config(bootstrap_iterations=0)
+        data = prepare_run(cfg)
+        copy = run_setting(cfg, "ratfm_copy", data=data)
+        prepares = []
+        monkeypatch.setattr(harness, "prepare_run", lambda c: prepares.append(c))
+        calls = spy_scores(monkeypatch)
+        sweep = sweep_pool_fraction(cfg, [1.0], data=data)
+        assert calls == [] and prepares == []
+        assert sweep.reports[1.0].to_json() == copy.to_json()
+        sweep_pool_fraction(cfg, [1.0, 0.5], data=data)
+        queries = retrieval_queries(cfg, data)
+        assert collections.Counter(calls) == dict.fromkeys(queries, 1)
+        assert prepares == []
+
     def test_windows_are_cut_once_per_prepared_run(self, monkeypatch):
         cfg = config(workers=4)
         te, h, tt = cfg.budget
@@ -329,6 +345,72 @@ class TestSharedRetrieval:
         assert shared == run_setting(dense, setting).to_json()
         shared = similarity_diagnostics(dense, data=data).to_dict()
         assert shared == similarity_diagnostics(dense).to_dict()
+
+
+class TestPrunedRetrieval:
+    def test_winners_match_the_exhaustive_oracle_for_every_fraction(self):
+        # every pool entry twice (exact ties across blocks), plus copies of
+        # test queries planted under other series
+        cfg = config(workers=4)
+        data = prepare_run(cfg)
+        te = cfg.budget.example_len
+        pools = {}
+        for dom, pool in data.pools.items():
+            entries = list(pool.entries)
+            entries += [dataclasses.replace(e) for e in pool.entries]
+            ids = [s.id for s in data.series if s.domain == dom]
+            for s in data.series:
+                if s.domain == dom:
+                    w = harness._windows(cfg, s, "test")[1]
+                    query = harness._retrieval_query(w, te)
+                    other = next(sid for sid in ids if sid != s.id)
+                    planted = dataclasses.replace(query, series_id=other)
+                    entries.insert(len(entries) // 3, planted)
+            assert len(entries) > 4 * retrieval._CHUNK_ROWS
+            pools[dom] = retrieval.CandidatePool(domain=dom, entries=entries)
+        data = PreparedRun(series=data.series, periods=data.periods, pools=pools)
+        fractions = (1.0, 0.5, 0.1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            sweep_pool_fraction(cfg, list(fractions), data=data)
+        finally:
+            sys.setswitchinterval(interval)
+        n_ties = 0
+        for s in data.series:
+            pool = pools[s.domain]
+            windows, found = harness._retrieved(cfg, data, s, "test", fractions)
+            for i, w in enumerate(windows):
+                query = harness._retrieval_query(w, te)
+                scores = exhaustive_scores(query, pool.entries)
+                for f, examples in zip(fractions, found):
+                    kept = retrieval.subsample_indices(len(pool), f, cfg.seed)
+                    idx = exhaustive_best(scores, kept)
+                    assert examples[i] is pool.entries[idx]
+                    n_ties += int(np.sum(scores[kept] == scores[idx]) > 1)
+        assert n_ties > 0
+
+    def test_bound_spares_most_usable_rows(self, monkeypatch):
+        # periodic same-domain series: a query's best score is high, so few
+        # bounds reach it (about 23% of usable rows are correlated here)
+        cfg = config()
+        data = prepare_run(cfg)
+        correlated, usable = [0], [0]
+        real_block, real_best = retrieval._block_scores, retrieval.best_candidates
+
+        def block_spy(*args):
+            correlated[0] += len(args[-1])
+            return real_block(*args)
+
+        def best_spy(query, pool, subsets):
+            _, norms, series_ids, _, _ = pool._arrays()
+            usable[0] += int(np.sum((norms > 0) & (series_ids != query.series_id)))
+            return real_best(query, pool, subsets)
+
+        monkeypatch.setattr(retrieval, "_block_scores", block_spy)
+        monkeypatch.setattr(harness, "best_candidates", best_spy)
+        run_setting(cfg, "ratfm_linear", data=data)
+        assert 0 < correlated[0] < usable[0] / 2
 
 
 class TestRunSetting:

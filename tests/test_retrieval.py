@@ -4,8 +4,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import ncc_direct
+import ratfm.retrieval as retrieval
+from oracles import exhaustive_best, exhaustive_scores, ncc_direct
 from ratfm.dataset import Window
 from ratfm.errors import (
     EmptyPoolError,
@@ -17,8 +20,7 @@ from ratfm.errors import (
 from ratfm.retrieval import (
     _CHUNK_ROWS,
     CandidatePool,
-    best_candidate,
-    candidate_scores,
+    best_candidates,
     ncc_max,
     retrieve_best,
     subsample_indices,
@@ -171,7 +173,7 @@ class TestRetrieveBest:
             with pytest.raises(InconsistentWindowLengthError):
                 retrieve_best(q, pool)
             with pytest.raises(InconsistentWindowLengthError):
-                candidate_scores(q, pool)
+                best_candidates(q, pool, [np.arange(2)])
 
     def test_zero_norm_query(self):
         pool = CandidatePool(domain="d", entries=[win("o", 0, np.ones(4))])
@@ -255,6 +257,20 @@ class TestRetrieveBestAcrossBlocks:
         assert (sim.candidate_index, sim.best_lag) == (2 * _CHUNK_ROWS, -1)
 
 
+def spy_blocks(monkeypatch):
+    """List of (query series id, rows, scores) per block ``best_candidates`` scores."""
+    blocks = []
+    real = retrieval._block_scores
+
+    def spy(fq, L, qnorm, spectra, norms, block):
+        scores = real(fq, L, qnorm, spectra, norms, block)
+        blocks.append((block.copy(), scores))
+        return scores
+
+    monkeypatch.setattr(retrieval, "_block_scores", spy)
+    return blocks
+
+
 class TestCandidateScores:
     def grouped_pool(self, rng, L=40):
         """Entries grouped by series like a domain pool, with the query's
@@ -266,26 +282,28 @@ class TestCandidateScores:
             entries[i] = win(entries[i].series_id, i, np.zeros(L))
         return CandidatePool(domain="d", entries=entries)
 
-    def test_unusable_rows_score_minus_inf_and_the_rest_match_all_rows(self):
+    def test_unusable_rows_score_minus_inf_and_the_rest_match_all_rows(self, monkeypatch):
         rng = np.random.default_rng(5)
         pool = self.grouped_pool(rng)
-        query = win("q", 0, rng.normal(size=40))
-        scores = candidate_scores(query, pool)
-        stack = np.stack([e.input for e in pool.entries])
-        norms = np.linalg.norm(stack, axis=1)
-        usable = (norms > 0) & np.array([e.series_id != "q" for e in pool.entries])
-        assert np.all(scores[~usable] == -np.inf)
-        # the same arithmetic over every row at once
-        L, nfft = 40, 128
-        fq = np.fft.rfft(query.input, nfft)
-        spectra = np.conj(np.fft.rfft(stack, nfft, axis=1))
-        circ = np.fft.irfft(fq * spectra, nfft, axis=1)
-        peaks = np.maximum(circ[:, :L].max(axis=1), circ[:, nfft - L + 1 :].max(axis=1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            full = peaks / (np.linalg.norm(query.input) * norms)
-        assert np.array_equal(scores[usable], full[usable])
-        for i in np.flatnonzero(usable)[::17]:
-            assert abs(scores[i] - ncc_direct(query.input, stack[i])[0]) < 1e-9
+        blocks = spy_blocks(monkeypatch)
+        subsets = [np.arange(len(pool)), np.arange(0, len(pool), 3), np.arange(60, 80)]
+        for _ in range(10):
+            query = win("q", 0, rng.normal(size=40))
+            full = exhaustive_scores(query, pool.entries)
+            usable = full > -np.inf
+            blocks.clear()
+            winners = best_candidates(query, pool, subsets)
+            assert blocks
+            for rows, scores in blocks:
+                assert np.all(usable[rows]) and np.all(np.diff(rows) > 0)
+                # every computed score is bitwise the all-rows one
+                assert np.array_equal(scores, full[rows])
+            for subset, won in zip(subsets, winners):
+                idx = exhaustive_best(full, subset)
+                assert won == (idx, full[idx])
+            for i in np.flatnonzero(usable)[::17]:
+                direct = ncc_direct(query.input, pool.entries[i].input)[0]
+                assert abs(full[i] - direct) < 1e-9
 
     def test_correlates_only_usable_rows_plus_the_winner(self, monkeypatch):
         rng = np.random.default_rng(6)
@@ -302,28 +320,101 @@ class TestCandidateScores:
             rows.append(len(a) if np.ndim(a) == 2 else 1)
             return real_irfft(a, *args, **kwargs)
 
+        blocks = spy_blocks(monkeypatch)
         monkeypatch.setattr(np.fft, "irfft", counting_irfft)
         for q in queries:
             rows.clear()
-            candidate_scores(q, pool)
-            assert sum(rows) == n_usable
+            blocks.clear()
+            best_candidates(q, pool, [np.arange(len(pool))])
+            scored = np.concatenate([b for b, _ in blocks])
+            assert sum(rows) == len(scored) == len(set(scored)) <= n_usable
             rows.clear()
             retrieve_best(q, pool)
-            assert sum(rows) == n_usable + 1
+            assert sum(rows) == len(scored) + 1
 
     def test_best_candidate_lowest_index_and_no_usable_row(self):
-        pool = CandidatePool(domain="d", entries=[win("o", 0, np.ones(4))])
-        query = win("q", 0, np.ones(4))
-        assert best_candidate(np.array([-np.inf, 0.5, 0.9, 0.9]), query, pool) == 2
+        rng = np.random.default_rng(7)
+        L = 16
+        query = win("q", 0, rng.normal(size=L))
+        entries = [win(f"c{i % 5}", i, rng.normal(size=L)) for i in range(256)]
+        strong = np.roll(query.input, 2) + 0.05 * rng.normal(size=L)
+        # more copies of one window than a block holds: equal bounds and
+        # scores, so the copies are scored in index order over two blocks
+        for i in range(_CHUNK_ROWS + 7, len(entries), 2):
+            entries[i] = win("t", i, strong.copy())
+        entries[5] = win("q", 5, strong.copy())  # own series never wins
+        pool = CandidatePool(domain="d", entries=entries)
+        subsets = [
+            np.arange(len(entries)),
+            np.array([5, 2 * _CHUNK_ROWS + 51, 2 * _CHUNK_ROWS + 1]),
+            np.array([5]),
+            np.array([], dtype=int),
+        ]
+        (full, late, own, empty) = best_candidates(query, pool, subsets)
+        assert full[0] == _CHUNK_ROWS + 7
+        assert late[0] == 2 * _CHUNK_ROWS + 1 and late[1] == full[1]
+        assert own is None and empty is None
+        pool = CandidatePool(domain="d", entries=[win("q", 0, strong)])
         with pytest.raises(EmptyPoolError, match="no candidate outside series 'q'"):
-            best_candidate(np.full(3, -np.inf), query, pool)
+            retrieve_best(query, pool)
 
-    def test_no_usable_row_raises_before_correlating(self):
+    def test_no_usable_row_raises_before_correlating(self, monkeypatch):
         pool = CandidatePool(
             domain="d", entries=[win("q", 0, np.ones(4)), win("o", 0, np.zeros(4))]
         )
+        blocks = spy_blocks(monkeypatch)
+        query = win("q", 1, np.ones(4))
         with pytest.raises(EmptyPoolError, match="domain 'd' has no candidate outside"):
-            candidate_scores(win("q", 1, np.ones(4)), pool)
+            retrieve_best(query, pool)
+        assert best_candidates(query, pool, [np.arange(2), [1]]) == [None, None]
+        assert blocks == []
+
+
+# windows of one length: random, scaled, offset and exactly duplicated
+_POOL_CASES = st.integers(2, 48).flatmap(
+    lambda L: st.tuples(
+        st.just(L),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["noise", "scaled", "offset", "duplicate", "zero"]),
+                st.floats(-1e3, 1e3, allow_nan=False).filter(lambda a: abs(a) > 1e-6),
+                st.integers(0, 2**31 - 1),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([1e-30, 1e-8, 1.0, 1e8, 1e30]),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POOL_CASES)
+def test_stored_bound_covers_every_usable_score(case):
+    L, kinds, seed, magnitude = case
+    rng = np.random.default_rng(seed)
+    query = win("q", 0, magnitude * rng.normal(size=L))
+    entries = []
+    for i, (kind, a, row_seed) in enumerate(kinds):
+        base = np.random.default_rng(row_seed).normal(size=L)
+        earlier = entries[row_seed % len(entries)].input if entries else query.input
+        row = {
+            "noise": magnitude * base,
+            "scaled": a * query.input,
+            "offset": query.input + a,
+            "duplicate": earlier.copy(),
+            "zero": np.zeros(L),
+        }[kind]
+        entries.append(win(f"s{i % 3}", i, row))
+    pool = CandidatePool(domain="d", entries=entries)
+    mags = pool._arrays()[4]
+    q = np.asarray(query.input, dtype=np.float64)
+    fq = np.fft.rfft(q, retrieval._fft_size(L))
+    bounds = retrieval._score_bounds(fq, float(np.linalg.norm(q)), mags)
+    scores = exhaustive_scores(query, entries)
+    usable = scores > -np.inf
+    assert np.all(bounds[usable] >= scores[usable])
 
 
 def test_concurrent_first_touch_builds_spectra_once(monkeypatch):
