@@ -25,7 +25,6 @@ from .forecast import (
     Forecaster,
     LinearForecaster,
     SeasonalNaiveForecaster,
-    TrainingReport,
     assemble_context,
     forecast,
     load_weights,
@@ -61,7 +60,6 @@ from .retrieval import (
 )
 from .scoring import (
     PeriodEstimate,
-    ScoreSeries,
     anomaly_scores,
     estimate_period,
     sma_smooth,
@@ -84,14 +82,12 @@ __all__ = [
     "LabeledSeries",
     "LinearForecaster",
     "PeriodEstimate",
-    "ScoreSeries",
     "SeasonalNaiveForecaster",
     "SETTINGS",
     "SimilarityDiagnostics",
     "SimilarityResult",
     "StandardizationParams",
     "SynthSpec",
-    "TrainingReport",
     "Window",
     "anomaly_scores",
     "assemble_context",

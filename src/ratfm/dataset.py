@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +20,6 @@ from .errors import (
     EmptySeriesError,
     MalformedNameError,
     NonNumericTokenError,
-    RegionTooShortWarning,
     SeriesTooShortError,
     SpanOutOfBoundsError,
 )
@@ -199,8 +197,7 @@ def make_windows(
     Windows start at region-relative offsets ``0, stride, 2*stride, ...``
     and lie fully inside the region, so the count is
     ``floor((region_len - input_len - horizon) / stride) + 1``.  A region
-    too short for a single window yields an empty list and a
-    :class:`RegionTooShortWarning` instead of an error.
+    too short for a single window yields an empty list.
     """
     if input_len < 1 or horizon < 1 or stride < 1:
         raise ValueError("input_len, horizon and stride must all be >= 1")
@@ -212,18 +209,8 @@ def make_windows(
         raise ValueError(f"unknown region {region!r}")
 
     span = input_len + horizon
-    region_len = hi - lo
-    if region_len < span:
-        warnings.warn(
-            f"{series.id}: {region} region ({region_len}) shorter than "
-            f"window span ({span})",
-            RegionTooShortWarning,
-            stacklevel=2,
-        )
-        return []
-
     windows = []
-    for offset in range(0, region_len - span + 1, stride):
+    for offset in range(0, hi - lo - span + 1, stride):
         start = lo + offset
         windows.append(
             Window(

@@ -43,10 +43,6 @@ class SeriesTooShortError(RatfmError):
     """Input series shorter than the operation requires."""
 
 
-class RegionTooShortWarning(UserWarning):
-    """Region cannot hold a single window; an empty list is returned."""
-
-
 # retrieval
 class ZeroNormVectorError(RatfmError):
     """Similarity undefined for an all-zero vector."""

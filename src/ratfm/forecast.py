@@ -207,24 +207,17 @@ class LinearForecaster(Forecaster):
         return self.weights[:, :-1] @ ctx.flat() + self.weights[:, -1]
 
 
-@dataclass(frozen=True)
-class TrainingReport:
-    """Outcome of a closed-form fit: the objective value per sample."""
-
-    final_mse: float
-
-
 def train_linear(
     train_contexts: list[ContextWindow], reg: float
-) -> tuple[LinearForecaster, TrainingReport]:
+) -> tuple[LinearForecaster, float]:
     """Fit the linear forecaster by ridge-regularized least squares.
 
     Minimizes ``sum ||W a - y||^2 + reg * ||W||_F^2`` over the augmented
     context vectors ``a = [flat(ctx), 1]``, solved in closed form via the
-    normal equations.  ``final_mse`` is the objective value divided by
-    the number of contexts.  With ``reg=0`` a rank-deficient system
-    raises :class:`SingularSystemError` rather than picking an arbitrary
-    interpolant.
+    normal equations.  Returns the forecaster and ``final_mse``, the
+    objective value divided by the number of contexts.  With ``reg=0`` a
+    rank-deficient system raises :class:`SingularSystemError` rather than
+    picking an arbitrary interpolant.
     """
     if not train_contexts:
         raise EmptyTrainingSetError("no training contexts")
@@ -260,10 +253,7 @@ def train_linear(
 
     residual = A @ wt - Y
     objective = float(np.sum(residual * residual)) + reg * float(np.sum(wt * wt))
-    final_mse = objective / n
-    budget = Budget(segs[0], h, segs[2])
-    report = TrainingReport(final_mse=final_mse)
-    return LinearForecaster(weights, budget), report
+    return LinearForecaster(weights, Budget(segs[0], h, segs[2])), objective / n
 
 
 def forecast(forecaster: Forecaster, ctx: ContextWindow) -> np.ndarray:

@@ -54,7 +54,6 @@ from .retrieval import (
 # unused here, but perfbench/tracer.py wraps ratfm.harness.retrieve_best
 from .retrieval import retrieve_best  # noqa: F401
 from .scoring import (
-    ScoreSeries,
     anomaly_scores,
     dump_scores_csv,
     estimate_period,
@@ -126,6 +125,8 @@ class ExperimentConfig:
             raise ConfigError("vus_steps_cap must be >= 1")
         if self.bootstrap_iterations < 0:
             raise ConfigError("bootstrap_iterations must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.retrieval_region not in ("train", "full"):
             raise ConfigError("retrieval_region must be 'train' or 'full'")
         if self.period_source not in ("train", "test"):
@@ -237,9 +238,7 @@ def prepare_run(config: ExperimentConfig) -> PreparedRun:
         series.append(std)
         regions = ["train"] if config.retrieval_region == "train" else ["train", "test"]
         for region in regions:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                wins = make_windows(std, region, te, h, pool_stride)
+            wins = make_windows(std, region, te, h, pool_stride)
             by_domain.setdefault(std.domain, []).extend(wins)
     pools = {}
     for domain, wins in sorted(by_domain.items()):
@@ -320,12 +319,7 @@ def _retrieved(
 
 
 def _map(config: ExperimentConfig, fn, items: list) -> list:
-    """``[fn(x) for x in items]``, on ``config.workers`` threads when > 1.
-
-    Warning filters are process-wide and ``warnings.catch_warnings`` is
-    not thread-safe, so workers must not enter it; callers set filters
-    around this call instead.
-    """
+    """``[fn(x) for x in items]``, on ``config.workers`` threads when > 1."""
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool_exec:
             return list(pool_exec.map(fn, items))
@@ -348,12 +342,10 @@ def _train_forecaster(
             if not isinstance(example, str)
         ]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        per_series = _map(config, series_contexts, data.series)
+    per_series = _map(config, series_contexts, data.series)
     contexts = [ctx for ctxs in per_series for ctx in ctxs]
     try:
-        forecaster, report = train_linear(contexts, config.ridge_reg)
+        forecaster, final_mse = train_linear(contexts, config.ridge_reg)
     except EmptyTrainingSetError as exc:
         raise ConfigError(
             "no training contexts available; train regions are too short "
@@ -361,7 +353,7 @@ def _train_forecaster(
         ) from exc
     info = {
         "n_contexts": len(contexts),
-        "final_mse": report.final_mse,
+        "final_mse": final_mse,
         "ridge_reg": config.ridge_reg,
     }
     return forecaster, info
@@ -403,19 +395,14 @@ def _eval_series(
         else:
             ctx = assemble_context(w, examples[i], budget)
         predicted = forecast(forecaster, ctx)
-        window_scores = anomaly_scores(predicted, w.future).scores
         local = w.start + total - series.train_end
-        acc[local : local + h] += window_scores
+        acc[local : local + h] += anomaly_scores(predicted, w.future)
         cnt[local : local + h] += 1
 
     scored = cnt > 0
     offset = int(np.argmax(scored))
     n_scored = int(scored.sum())
-    raw = ScoreSeries(
-        series_id=series.id,
-        offset=offset,
-        scores=acc[offset : offset + n_scored] / cnt[offset : offset + n_scored],
-    )
+    raw = acc[offset : offset + n_scored] / cnt[offset : offset + n_scored]
     final = sma_smooth(raw, period) if config.sma else raw
     labels, threshold = threshold_labels(final)
 
@@ -442,8 +429,8 @@ def _eval_series(
     }
     dump = ScoreDump(
         t_absolute_start=series.train_end + offset,
-        raw=raw.scores,
-        smoothed=final.scores,
+        raw=raw,
+        smoothed=final,
         labels=labels,
         threshold=threshold,
     )
@@ -514,9 +501,7 @@ def _evaluate(
         except RatfmError as exc:
             return series.id, None, None, str(exc)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        results = _map(config, eval_one, data.series)
+    results = _map(config, eval_one, data.series)
     for sid, rec, dump, err in results:
         if err is not None:
             logger.warning("skipping %s: %s", sid, err)
@@ -576,10 +561,8 @@ def sweep_pool_fraction(
     if setting == "ratfm_linear":
         trained, _ = _train_forecaster(config, data)
     if setting != "zero_shot_naive":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _map(config, lambda s: _retrieved(config, data, s, "test", fractions),
-                 data.series)
+        _map(config, lambda s: _retrieved(config, data, s, "test", fractions),
+             data.series)
     result = SweepResult(setting=setting, rows=[])
     for fraction in fractions:
         report = EvalReport(setting=setting, config=config.to_dict())
@@ -655,9 +638,7 @@ def similarity_diagnostics(
             out.append((a, b, c))
         return out
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        per_series = _map(config, series_similarities, data.series)
+    per_series = _map(config, series_similarities, data.series)
     sums: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
     for series, sims in zip(data.series, per_series):

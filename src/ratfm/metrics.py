@@ -22,7 +22,6 @@ from .errors import (
     LengthMismatchError,
     NoPositiveMassError,
 )
-from .scoring import ScoreSeries
 
 SCHEMA_VERSION = 1
 METRIC_NAMES = ("f1", "precision", "recall", "vus_roc", "vus_pr")
@@ -155,7 +154,7 @@ def _soft_areas(
 
 
 def vus(
-    scores: ScoreSeries | np.ndarray,
+    scores: np.ndarray,
     truth: GroundTruth,
     w_max: int,
     steps: int,
@@ -172,8 +171,7 @@ def vus(
         raise ValueError(f"w_max must be >= 0, got {w_max}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    values = scores.scores if isinstance(scores, ScoreSeries) else scores
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(scores, dtype=np.float64)
     order = np.argsort(-values, kind="stable")
     widths = np.unique(np.rint(np.linspace(0.0, w_max, steps + 1)).astype(int))
     rocs = np.empty(len(widths))

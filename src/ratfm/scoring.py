@@ -1,10 +1,10 @@
 """Anomaly scores, period estimation, smoothing, and thresholding.
 
 Scores are per-point absolute deviations between a forecast (or
-reconstruction) and the observed values.  Raw scores are smoothed with a
-trailing simple moving average whose window defaults to the series
-period estimated from the training region, then binarized at
-mean + 3 * std.
+reconstruction) and the observed values, held in 1-d float64 arrays.
+Raw scores are smoothed with a trailing simple moving average whose
+window defaults to the series period estimated from the training
+region, then binarized at mean + 3 * std.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,33 +29,6 @@ DEFAULT_FALLBACK_PERIOD = 10
 
 
 @dataclass(frozen=True)
-class ScoreSeries:
-    """Non-negative per-timestep anomaly scores for one series.
-
-    ``offset`` is the position inside the test region of the first
-    score.  ``smoothed`` marks post-processed scores and records the
-    moving-average window used.
-    """
-
-    series_id: str
-    offset: int
-    scores: np.ndarray
-    smoothed: bool = False
-    sma_window: int | None = None
-
-    def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=np.float64)
-        object.__setattr__(self, "scores", scores)
-        if scores.size and scores.min() < 0.0:
-            raise ValueError("anomaly scores must be non-negative")
-        if self.smoothed and (self.sma_window is None or self.sma_window < 1):
-            raise ValueError("smoothed score series must record sma_window >= 1")
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-
-@dataclass(frozen=True)
 class PeriodEstimate:
     """Dominant period with the spectral peak-to-mean ratio behind it."""
 
@@ -64,12 +37,7 @@ class PeriodEstimate:
     fallback_used: bool
 
 
-def anomaly_scores(
-    forecast: np.ndarray,
-    truth: np.ndarray,
-    series_id: str = "",
-    offset: int = 0,
-) -> ScoreSeries:
+def anomaly_scores(forecast: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Per-point absolute deviation |forecast - truth|.
 
     The same contract serves reconstruction outputs: pass the
@@ -81,9 +49,7 @@ def anomaly_scores(
         raise LengthMismatchError(
             f"need equal-length 1-d vectors, got {forecast.shape} / {truth.shape}"
         )
-    return ScoreSeries(
-        series_id=series_id, offset=offset, scores=np.abs(forecast - truth)
-    )
+    return np.abs(forecast - truth)
 
 
 def estimate_period(
@@ -163,7 +129,7 @@ def _refine_peak(centered: np.ndarray, k_star: int) -> float:
     return best
 
 
-def sma_smooth(scores: ScoreSeries, window: int) -> ScoreSeries:
+def sma_smooth(scores: np.ndarray, window: int) -> np.ndarray:
     """Trailing moving average of the scores.
 
     For ``t >= window - 1`` the output is the exact mean of the last
@@ -172,13 +138,12 @@ def sma_smooth(scores: ScoreSeries, window: int) -> ScoreSeries:
     """
     if window < 1:
         raise InvalidWindowError(f"window must be >= 1, got {window}")
-    smoothed = _kernels.sma_trailing(scores.scores, window)
-    return replace(scores, scores=smoothed, smoothed=True, sma_window=window)
+    return _kernels.sma_trailing(scores, window)
 
 
-def threshold_labels(scores: ScoreSeries) -> tuple[np.ndarray, float]:
+def threshold_labels(scores: np.ndarray) -> tuple[np.ndarray, float]:
     """Binarize scores at mean + 3 * population std (strictly above)."""
-    values = scores.scores
+    values = np.asarray(scores, dtype=np.float64)
     if len(values) < 2:
         raise SeriesTooShortError(
             f"need at least 2 scores to form a threshold, got {len(values)}"

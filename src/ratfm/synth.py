@@ -98,6 +98,8 @@ class SynthSpec:
             raise InvalidSpecError("train_len/test_len too short for a benchmark")
         if self.noise_std < 0:
             raise InvalidSpecError("noise_std must be >= 0")
+        if self.seed < 0:
+            raise InvalidSpecError("seed must be >= 0")
         lo, hi = self.anomaly_len
         if not 1 <= lo <= hi:
             raise InvalidSpecError(f"bad anomaly length range ({lo}, {hi})")

@@ -17,7 +17,7 @@ from ratfm.forecast import Budget
 from ratfm.harness import ExperimentConfig, run_setting, similarity_diagnostics, sweep_pool_fraction
 from ratfm.metrics import GroundTruth, auc_weighted, vus
 from ratfm.retrieval import ncc_max
-from ratfm.scoring import ScoreSeries, estimate_period, sma_smooth, threshold_labels
+from ratfm.scoring import estimate_period, sma_smooth, threshold_labels
 from ratfm.synth import SynthSpec
 
 
@@ -107,7 +107,7 @@ def test_c03_sma_matches_verbatim_formula():
             length = int(rng.integers(2, 120))
             window = int(rng.integers(1, 20))
             values = rng.random(length)
-            got = sma_smooth(ScoreSeries("s", 0, values), window).scores
+            got = sma_smooth(values, window)
             expected = sma_formula(values, window)
             # exact for t >= window-1 and for the documented head extension
             assert np.array_equal(got, expected)
@@ -135,18 +135,17 @@ def test_c05_sma_mechanism_on_periodic_spikes_plus_plateau():
         scores = np.zeros(n)
         scores[p::p] = 1.0  # periodic unit spikes (false positives)
         scores[401:421] = 0.9  # sustained width-p anomaly plateau
-        raw = ScoreSeries("c5", 0, scores)
-        smoothed = sma_smooth(raw, p)
+        smoothed = sma_smooth(scores, p)
         gt = GroundTruth.from_spans([(401, 420)], length=n)
-        vus_raw, _ = vus(raw, gt, w_max=p, steps=min(p, 20))
+        vus_raw, _ = vus(scores, gt, w_max=p, steps=min(p, 20))
         vus_smoothed, _ = vus(smoothed, gt, w_max=p, steps=min(p, 20))
         assert vus_smoothed > vus_raw
-        argmax = int(np.argmax(smoothed.scores))
+        argmax = int(np.argmax(smoothed))
         assert 401 <= argmax <= 420, f"smoothed argmax {argmax} outside plateau"
         spikes = np.zeros(n, dtype=bool)
         spikes[p::p] = True
         spikes[401:421] = False
-        assert smoothed.scores[401:421].max() > smoothed.scores[spikes].max()
+        assert smoothed[401:421].max() > smoothed[spikes].max()
         # on raw scores the spikes dominate the plateau
         raw_argmax = int(np.argmax(scores))
         assert not 401 <= raw_argmax <= 420
@@ -200,11 +199,11 @@ def test_c09_threshold_rule_matches_independent_recomputation():
         rng = np.random.default_rng(909)
         for _ in range(100):
             values = rng.random(int(rng.integers(2, 300)))
-            labels, threshold = threshold_labels(ScoreSeries("s", 0, values))
+            labels, threshold = threshold_labels(values)
             expected_labels, expected_threshold = mu_3sigma_labels(values)
             assert np.array_equal(labels, expected_labels)
             assert abs(threshold - expected_threshold) <= 1e-12
-        labels, _ = threshold_labels(ScoreSeries("s", 0, np.full(50, 0.42)))
+        labels, _ = threshold_labels(np.full(50, 0.42))
         assert labels.sum() == 0
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ratfm.cli import main
 
 CONFIG = {
@@ -158,6 +160,21 @@ class TestRun:
         assert main(["run", "--setting", "ratfm_copy",
                      "--dataset", str(tmp_path / "absent"),
                      "--out", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("where", ["run --seed", "synth --seed", "config synth.seed"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, where):
+        # numpy's generators reject negative seeds; validation rejects them first
+        out = str(tmp_path / "out")
+        if where == "synth --seed":
+            argv = ["synth", "--out", out, "--seed", "-1"]
+        else:
+            synth = dict(CONFIG["synth"], seed=-2 if where == "config synth.seed" else 9)
+            cfg = write_config(tmp_path, synth=synth)
+            argv = ["run", "--setting", "zero_shot_naive", "--config", str(cfg), "--out", out]
+            if where == "run --seed":
+                argv += ["--seed", "-1"]
+        assert main(argv) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_bad_anomaly_len_exit_2(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "ds"),

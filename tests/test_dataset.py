@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from ratfm.errors import (
     EmptySeriesError,
     MalformedNameError,
     NonNumericTokenError,
-    RegionTooShortWarning,
     SeriesTooShortError,
     SpanOutOfBoundsError,
 )
@@ -231,9 +231,10 @@ class TestWindows:
         wins = make_windows(s, "train", input_len=3, horizon=2, stride=5)
         assert [w.start for w in wins] == [0, 5]
 
-    def test_region_too_short_warns_empty(self):
+    def test_region_too_short_is_empty(self):
         s = make_series(np.arange(14.0), train_end=4)
-        with pytest.warns(RegionTooShortWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             wins = make_windows(s, "train", input_len=3, horizon=2, stride=1)
         assert wins == []
 
@@ -261,11 +262,7 @@ class TestWindows:
             stride = int(rng.integers(1, 7))
             s = make_series(np.arange(float(n)), train_end=train_end)
             for region, lo, hi in (("train", 0, train_end), ("test", train_end, n)):
-                import warnings
-
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    wins = make_windows(s, region, t, h, stride)
+                wins = make_windows(s, region, t, h, stride)
                 if hi - lo >= t + h:
                     assert len(wins) == (hi - lo - t - h) // stride + 1
                 for w in wins:

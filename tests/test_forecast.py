@@ -142,17 +142,17 @@ class TestTrainLinear:
     def test_learns_example_copy_structure(self):
         rng = np.random.default_rng(3)
         train = self._contexts(60, True, rng)
-        fc, report = train_linear(train, reg=1e-6)
+        fc, final_mse = train_linear(train, reg=1e-6)
         held = self._contexts(20, True, np.random.default_rng(99))
         for ctx in held:
             assert np.allclose(fc.forecast(ctx), ctx.example_future, atol=1e-3)
-        assert report.final_mse < 1e-6
+        assert final_mse < 1e-6
 
     def test_single_context_well_posed(self):
         rng = np.random.default_rng(4)
-        fc, report = train_linear(self._contexts(1, False, rng), reg=1.0)
+        fc, final_mse = train_linear(self._contexts(1, False, rng), reg=1.0)
         assert np.all(np.isfinite(fc.weights))
-        assert report.final_mse >= 0.0
+        assert final_mse >= 0.0
 
     def test_rank_deficient_without_reg_raises(self):
         rng = np.random.default_rng(5)
@@ -164,30 +164,30 @@ class TestTrainLinear:
         rng = np.random.default_rng(6)
         train = self._contexts(30, False, rng)
         reg = 0.37
-        fc, report = train_linear(train, reg=reg)
+        fc, final_mse = train_linear(train, reg=reg)
         dim = self.budget.total
         A = np.array([np.append(c.flat(), 1.0) for c in train])
         Y = np.array([c.target_future for c in train])
         expected = ridge_lstsq(A, Y, reg)
         assert np.allclose(fc.weights, expected.T, atol=1e-8)
         objective = float(np.sum((A @ expected - Y) ** 2) + reg * np.sum(expected**2))
-        assert report.final_mse == pytest.approx(objective / len(train), rel=1e-9)
+        assert final_mse == pytest.approx(objective / len(train), rel=1e-9)
         assert fc.weights.shape == (2, dim + 1)
 
     def test_training_mse_bounds_context_average(self):
         rng = np.random.default_rng(7)
         train = self._contexts(25, False, rng)
-        fc, report = train_linear(train, reg=1e-2)
+        fc, final_mse = train_linear(train, reg=1e-2)
         per_ctx = [
             float(np.sum((fc.forecast(c) - c.target_future) ** 2)) for c in train
         ]
-        assert float(np.mean(per_ctx)) <= report.final_mse + 1e-9
+        assert float(np.mean(per_ctx)) <= final_mse + 1e-9
 
     def test_objective_monotone_in_reg(self):
         rng = np.random.default_rng(8)
         train = self._contexts(40, False, rng)
         losses = [
-            train_linear(train, reg=r)[1].final_mse
+            train_linear(train, reg=r)[1]
             for r in (1e-6, 1e-4, 1e-2, 1.0, 1e2)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
@@ -199,7 +199,7 @@ class TestTrainLinear:
         budget = Budget(3, 2, 3)
         train = [make_ctx(rng, budget) for _ in range(10)]
         reg = 0.05
-        fc, report = train_linear(train, reg=reg)
+        fc, final_mse = train_linear(train, reg=reg)
         A = np.array([np.append(c.flat(), 1.0) for c in train])
         Y = np.array([c.target_future for c in train])
         d = A.shape[1]
@@ -218,7 +218,7 @@ class TestTrainLinear:
         numeric = res.x.reshape(d, 2).T
         denom = max(1.0, float(np.linalg.norm(fc.weights)))
         assert float(np.linalg.norm(numeric - fc.weights)) / denom < 1e-5
-        assert res.fun == pytest.approx(report.final_mse * len(train), rel=1e-9)
+        assert res.fun == pytest.approx(final_mse * len(train), rel=1e-9)
 
     def test_empty_and_invalid(self):
         with pytest.raises(EmptyTrainingSetError):
@@ -270,11 +270,11 @@ class TestForecastDispatch:
         # average training error never exceeds the reported objective value
         rng = np.random.default_rng(14)
         train = [make_ctx(rng, Budget(4, 2, 4)) for _ in range(30)]
-        fc, report = train_linear(train, reg=1e-3)
+        fc, final_mse = train_linear(train, reg=1e-3)
         sses = [
             float(np.sum((forecast(fc, c) - c.target_future) ** 2)) for c in train
         ]
-        assert float(np.mean(sses)) <= report.final_mse + 1e-9
+        assert float(np.mean(sses)) <= final_mse + 1e-9
 
 
 class TestPersistence:

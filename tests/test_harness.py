@@ -3,6 +3,7 @@ import dataclasses
 import json
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -225,9 +226,7 @@ class TestPrepareRun:
                 dataset_root=tmp, budget=Budget(*budget), period_source=period_source
             )
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    prepare_run(cfg)
+                prepare_run(cfg)
             except (DatasetError, ConfigError):
                 pass
 
@@ -486,6 +485,49 @@ class TestRunSetting:
         for _ in range(3):
             run_setting(config(workers=4), setting)
             assert warnings.filters == before
+
+    def test_concurrent_runs_leave_warning_filters_alone(self, monkeypatch):
+        # run A is inside its evaluation when run B enters its own, and
+        # returns before B does: had each run saved the filters on entry and
+        # restored them on exit, B would restore the "ignore" A had set
+        cfg = config(bootstrap_iterations=0)
+        data = prepare_run(cfg)
+        expected = run_setting(cfg, "zero_shot_naive", data=data).to_json()
+        b_inside, a_returned = threading.Event(), threading.Event()
+        real = harness.anomaly_scores
+
+        def spy(forecast, truth):
+            if threading.current_thread().name == "A":
+                if not b_inside.wait(30):
+                    raise RuntimeError("run B never reached its evaluation")
+            else:
+                b_inside.set()
+                if not a_returned.wait(30):
+                    raise RuntimeError("run A never returned")
+            return real(forecast, truth)
+
+        monkeypatch.setattr(harness, "anomaly_scores", spy)
+        before = list(warnings.filters)
+        reports, errors = {}, []
+
+        def run(name):
+            try:
+                reports[name] = run_setting(cfg, "zero_shot_naive", data=data).to_json()
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                if name == "A":
+                    a_returned.set()
+
+        threads = [threading.Thread(target=run, args=(n,), name=n) for n in "AB"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+            assert not t.is_alive()
+        assert not errors
+        assert reports == {"A": expected, "B": expected}
+        assert warnings.filters == before
 
     def test_pipeline_order_smoothing_before_threshold_and_metrics(self, monkeypatch):
         calls = []

@@ -12,7 +12,6 @@ from ratfm.metrics import (
     pointwise_prf,
     vus,
 )
-from ratfm.scoring import ScoreSeries
 
 
 class TestPointwisePrf:
@@ -168,12 +167,6 @@ class TestVus:
         expected = vus_enum(scores, spans, 30, 4, 4)
         assert got[0] == pytest.approx(expected[0], abs=1e-12)
         assert got[1] == pytest.approx(expected[1], abs=1e-12)
-
-    def test_accepts_score_series(self):
-        scores = ScoreSeries(series_id="s", offset=0, scores=np.array([0.1, 0.9, 0.2, 0.1]))
-        gt = GroundTruth.from_spans([(1, 1)], length=4)
-        roc, _ = vus(scores, gt, w_max=1, steps=1)
-        assert roc == pytest.approx(1.0)
 
     @pytest.mark.parametrize("spans", [[(5, 9), (30, 33)], [(0, 59)]])
     def test_sorts_once_and_equals_per_width_auc(self, spans, monkeypatch):

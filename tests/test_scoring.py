@@ -11,7 +11,6 @@ import ratfm.scoring as scoring
 from oracles import mu_3sigma_labels, refine_peak_dense, sma_formula
 from ratfm.errors import InvalidWindowError, LengthMismatchError, SeriesTooShortError
 from ratfm.scoring import (
-    ScoreSeries,
     anomaly_scores,
     dump_scores_csv,
     estimate_period,
@@ -20,25 +19,26 @@ from ratfm.scoring import (
 )
 
 
-def series(values, sid="s", offset=0):
-    return ScoreSeries(series_id=sid, offset=offset, scores=np.asarray(values, float))
+def floats(values):
+    return np.asarray(values, dtype=np.float64)
 
 
 class TestAnomalyScores:
     def test_identical_gives_zeros(self):
         out = anomaly_scores(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(out.scores, np.zeros(3))
+        assert np.array_equal(out, np.zeros(3))
 
     def test_absolute_value(self):
         out = anomaly_scores(np.array([1.0, -1.0]), np.array([0.0, 0.0]))
-        assert np.array_equal(out.scores, [1.0, 1.0])
+        assert np.array_equal(out, [1.0, 1.0])
 
     def test_random_pair_oracle(self):
         rng = np.random.default_rng(0)
         f = rng.normal(size=100)
         t = rng.normal(size=100)
         out = anomaly_scores(f, t)
-        assert np.array_equal(out.scores, np.abs(f - t))
+        assert np.array_equal(out, np.abs(f - t))
+        assert out.dtype == np.float64 and out.shape == (100,)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -123,62 +123,62 @@ class TestEstimatePeriod:
 
 class TestSmaSmooth:
     def test_window_one_is_identity(self):
-        s = series([0.5, 1.5, 0.25])
+        s = floats([0.5, 1.5, 0.25])
         out = sma_smooth(s, 1)
-        assert np.array_equal(out.scores, s.scores)
-        assert out.smoothed and out.sma_window == 1
+        assert np.array_equal(out, s)
+        assert out.dtype == np.float64 and out.shape == s.shape
 
     def test_hand_computed_partial_head(self):
-        out = sma_smooth(series([0.0, 2.0, 4.0]), 2)
-        assert np.array_equal(out.scores, [0.0, 1.0, 3.0])
+        out = sma_smooth(floats([0.0, 2.0, 4.0]), 2)
+        assert np.array_equal(out, [0.0, 1.0, 3.0])
 
     def test_constant_scores_unchanged(self):
-        out = sma_smooth(series([0.7] * 10), 4)
-        assert np.allclose(out.scores, 0.7)
+        out = sma_smooth(floats([0.7] * 10), 4)
+        assert np.allclose(out, 0.7)
 
     def test_invalid_window(self):
         with pytest.raises(InvalidWindowError):
-            sma_smooth(series([1.0, 2.0]), 0)
+            sma_smooth(floats([1.0, 2.0]), 0)
 
     def test_matches_verbatim_formula_exactly(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             n = int(rng.integers(1, 12))
             values = rng.random(int(rng.integers(2, 60)))
-            out = sma_smooth(series(values), n)
+            out = sma_smooth(floats(values), n)
             expected = sma_formula(values, n)
-            assert np.array_equal(out.scores, expected)
+            assert np.array_equal(out, expected)
 
     def test_window_longer_than_series(self):
         values = np.array([1.0, 3.0, 5.0])
-        out = sma_smooth(series(values), 10)
-        assert np.array_equal(out.scores, sma_formula(values, 10))
+        out = sma_smooth(floats(values), 10)
+        assert np.array_equal(out, sma_formula(values, 10))
 
     def test_peak_contraction(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             values = rng.random(50)
-            out = sma_smooth(series(values), int(rng.integers(1, 10)))
-            assert out.scores.max() <= values.max() + 1e-15
+            out = sma_smooth(floats(values), int(rng.integers(1, 10)))
+            assert out.max() <= values.max() + 1e-15
 
     def test_mass_approximately_preserved(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             values = rng.random(80)
             n = int(rng.integers(1, 12))
-            out = sma_smooth(series(values), n)
-            assert abs(out.scores.sum() - values.sum()) <= n * values.max()
+            out = sma_smooth(floats(values), n)
+            assert abs(out.sum() - values.sum()) <= n * values.max()
 
 
 class TestThresholdLabels:
     def test_all_equal_scores_no_detections(self):
-        labels, threshold = threshold_labels(series([0.3] * 20))
+        labels, threshold = threshold_labels(floats([0.3] * 20))
         assert threshold == pytest.approx(0.3)
         assert labels.sum() == 0
 
     def test_single_spike_detected(self):
         values = [0.0] * 99 + [100.0]
-        labels, threshold = threshold_labels(series(values))
+        labels, threshold = threshold_labels(floats(values))
         # mean 1, population std sqrt(99): threshold ~ 30.85
         assert threshold == pytest.approx(1.0 + 3.0 * np.sqrt(99.0))
         assert labels.sum() == 1 and labels[-1] == 1
@@ -186,31 +186,21 @@ class TestThresholdLabels:
     def test_no_point_above_threshold(self):
         rng = np.random.default_rng(4)
         values = rng.uniform(0.4, 0.6, size=50)
-        labels, threshold = threshold_labels(series(values))
+        labels, threshold = threshold_labels(floats(values))
         assert np.array_equal(labels, (values > threshold).astype(np.uint8))
 
     def test_matches_independent_recomputation(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             values = rng.random(int(rng.integers(2, 200)))
-            labels, threshold = threshold_labels(series(values))
+            labels, threshold = threshold_labels(floats(values))
             exp_labels, exp_threshold = mu_3sigma_labels(values)
             assert np.array_equal(labels, exp_labels)
             assert threshold == pytest.approx(exp_threshold, abs=1e-12)
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShortError):
-            threshold_labels(series([1.0]))
-
-
-class TestScoreSeries:
-    def test_negative_scores_rejected(self):
-        with pytest.raises(ValueError):
-            series([-0.1, 0.2])
-
-    def test_smoothed_requires_window(self):
-        with pytest.raises(ValueError):
-            ScoreSeries(series_id="s", offset=0, scores=np.ones(3), smoothed=True)
+            threshold_labels(floats([1.0]))
 
 
 class TestCsvDump:
