@@ -58,29 +58,55 @@ def best_lag_batch(cc: np.ndarray) -> np.ndarray:
     return order[np.argmax(cc[:, order], axis=1)].astype(np.int64)
 
 
-def weighted_areas(scores_desc: np.ndarray, soft_desc: np.ndarray) -> tuple[float, float]:
-    """(ROC area, PR area) from descending-sorted scores and soft labels.
+def weighted_areas(
+    soft_desc: np.ndarray, block_end: np.ndarray, work: np.ndarray | None = None
+) -> tuple[float, float]:
+    """(ROC area, PR area) from soft labels in descending-score order.
 
-    The sweep visits each block of tied scores once; curves start at the
-    +inf sentinel (TPR=FPR=0, precision=1) and end with every point
-    included.  Requires positive total mass on both ``soft`` and
-    ``1 - soft``; the caller handles the degenerate cases.
+    ``block_end`` indexes the last point of each block of tied scores,
+    ascending and ending at ``n - 1``, so the sweep visits each block
+    once; curves start at the +inf sentinel (TPR=FPR=0, precision=1) and
+    end with every point included.  Requires positive total mass on both
+    ``soft`` and ``1 - soft``; the caller handles the degenerate cases.
+
+    ``work`` is an optional ``(5, n + 1)`` float64 scratch array; callers
+    that score several label vectors of one length pass the same one, so
+    no call allocates.  Each trapezoid is evaluated in ``np.trapezoid``'s
+    operation order, ``(diff(x) * (y[1:] + y[:-1]) / 2.0).sum()``, so the
+    areas equal that formula on freshly allocated curves bit for bit.
     """
-    scores_desc = np.asarray(scores_desc, dtype=np.float64)
-    soft_desc = np.asarray(soft_desc, dtype=np.float64)
-    tp_run = np.cumsum(soft_desc)
-    fp_run = np.cumsum(1.0 - soft_desc)
-    block_end = np.nonzero(np.append(scores_desc[1:] != scores_desc[:-1], True))[0]
-    tp = tp_run[block_end]
-    fp = fp_run[block_end]
+    n = len(soft_desc)
+    m = len(block_end)
+    if work is None:
+        work = np.empty((5, n + 1))
+    run, cum = work[0, :n], work[1, :n]
+    tpr, fpr, prec = work[2, : m + 1], work[3, : m + 1], work[4, : m + 1]
+    tp, fp = tpr[1:], fpr[1:]
+    np.subtract(1.0, soft_desc, out=run)
+    np.cumsum(run, out=cum)
+    # take's default mode="raise" copies through a temporary when given
+    # out=; the block ends are in range, so "clip" gathers the same values
+    np.take(cum, block_end, out=fp, mode="clip")
+    np.cumsum(soft_desc, out=run)
+    np.take(run, block_end, out=tp, mode="clip")
+    np.add(tp, fp, out=prec[1:])
+    np.divide(tp, prec[1:], out=prec[1:])
     pos = tp[-1]
     neg = fp[-1]
-    tpr = np.concatenate(([0.0], tp / pos))
-    fpr = np.concatenate(([0.0], fp / neg))
-    prec = np.concatenate(([1.0], tp / (tp + fp)))
-    roc = float(np.trapezoid(tpr, fpr))
-    pr = float(np.trapezoid(prec, tpr))
-    return roc, pr
+    np.divide(tp, pos, out=tp)
+    np.divide(fp, neg, out=fp)
+    tpr[0] = fpr[0] = 0.0
+    prec[0] = 1.0
+    # the cumulative sums are spent: their rows hold the trapezoid terms
+    diff, mean = run[:m], cum[:m]
+    areas = []
+    for x, y in ((fpr, tpr), (tpr, prec)):
+        np.subtract(x[1:], x[:-1], out=diff)
+        np.add(y[1:], y[:-1], out=mean)
+        np.multiply(diff, mean, out=diff)
+        np.divide(diff, 2.0, out=diff)
+        areas.append(float(diff.sum()))
+    return areas[0], areas[1]
 
 
 def lag0_scan(haystack: np.ndarray, needle: np.ndarray) -> tuple[float, int]:

@@ -61,7 +61,7 @@ class InconsistentWindowLengthError(RatfmError):
 
 
 class InvalidFractionError(ConfigError):
-    """Subsampling fraction outside (0, 1]."""
+    """Subsampling fraction outside (0, 1], or repeated in a sweep."""
 
 
 # forecast

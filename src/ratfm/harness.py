@@ -109,9 +109,7 @@ class ExperimentConfig:
             raise ConfigError(f"bad budget {tuple(self.budget)}")
         if self.ridge_reg < 0:
             raise ConfigError("ridge_reg must be >= 0")
-        for f in self.fractions:
-            if not 0.0 < f <= 1.0:
-                raise ConfigError(f"fractions must lie in (0, 1], got {f}")
+        _check_fractions(self.fractions)
         if not 0.0 < self.pool_fraction <= 1.0:
             raise ConfigError(f"pool_fraction must lie in (0, 1], got {self.pool_fraction}")
         stride = _eval_stride(self)
@@ -532,6 +530,17 @@ class SweepResult:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _check_fractions(fractions) -> None:
+    """Each fraction lies in (0, 1] and appears once."""
+    seen = set()
+    for f in fractions:
+        if not 0.0 < f <= 1.0:
+            raise InvalidFractionError(f"fractions must lie in (0, 1], got {f}")
+        if f in seen:
+            raise InvalidFractionError(f"fraction {f} is repeated")
+        seen.add(f)
+
+
 def sweep_pool_fraction(
     config: ExperimentConfig,
     fractions: list[float] | None = None,
@@ -552,9 +561,7 @@ def sweep_pool_fraction(
     _check_setting(setting)
     config.validate()
     fractions = tuple(fractions if fractions is not None else config.fractions)
-    for f in fractions:
-        if not 0.0 < f <= 1.0:
-            raise InvalidFractionError(f"fractions must lie in (0, 1], got {f}")
+    _check_fractions(fractions)
     if data is None:
         data = prepare_run(config)
     trained = None

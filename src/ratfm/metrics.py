@@ -91,7 +91,12 @@ def continuous_labels(truth: GroundTruth, width: int) -> np.ndarray:
     """
     if width < 0:
         raise ValueError(f"width must be >= 0, got {width}")
-    return _soft_labels(truth, _span_distances(truth), width)
+    if not truth.spans:
+        return np.zeros(len(truth.labels), dtype=np.float64)
+    if width == 0:
+        return truth.labels.astype(np.float64)
+    dist = _span_distances(truth)
+    return _decay(dist, width, out=dist)
 
 
 def _span_distances(truth: GroundTruth) -> np.ndarray:
@@ -104,13 +109,24 @@ def _span_distances(truth: GroundTruth) -> np.ndarray:
     return dist
 
 
-def _soft_labels(truth: GroundTruth, dist: np.ndarray, width: int) -> np.ndarray:
-    """:func:`continuous_labels` from the truth's :func:`_span_distances`."""
-    if not truth.spans:
-        return np.zeros(len(dist), dtype=np.float64)
-    if width == 0:
-        return truth.labels.astype(np.float64)
-    return np.sqrt(np.clip(1.0 - dist / width, 0.0, None))
+def _decay(dist: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
+    """``sqrt(max(0, 1 - dist / width))`` elementwise, written into ``out``."""
+    np.divide(dist, width, out=out)
+    np.subtract(1.0, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(out, out=out)
+
+
+def _sorted_blocks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable descending argsort of ``scores`` and the tie-block ends.
+
+    The block ends index, in sorted order, the last point of each run of
+    equal scores (ascending; the last is ``n - 1``).
+    """
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    block_end = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    return order, block_end
 
 
 def auc_weighted(scores: np.ndarray, soft_labels: np.ndarray, kind: str) -> float:
@@ -125,19 +141,6 @@ def auc_weighted(scores: np.ndarray, soft_labels: np.ndarray, kind: str) -> floa
     """
     if kind not in ("roc", "pr"):
         raise ValueError(f"kind must be 'roc' or 'pr', got {kind!r}")
-    roc, pr = _soft_areas(scores, soft_labels)
-    return roc if kind == "roc" else pr
-
-
-def _soft_areas(
-    scores: np.ndarray, soft_labels: np.ndarray, order: np.ndarray | None = None
-) -> tuple[float, float]:
-    """(ROC, PR) areas under the rules of :func:`auc_weighted`.
-
-    ``order`` is the stable descending argsort of ``scores``; callers
-    that score several label vectors against the same scores pass it so
-    the scores are sorted once.
-    """
     scores = np.asarray(scores, dtype=np.float64)
     soft_labels = np.asarray(soft_labels, dtype=np.float64)
     if scores.shape != soft_labels.shape or scores.ndim != 1:
@@ -147,10 +150,10 @@ def _soft_areas(
     if float(soft_labels.sum()) <= 0.0:
         raise NoPositiveMassError("soft labels sum to zero")
     if float(np.sum(1.0 - soft_labels)) <= 0.0:
-        return 1.0, 1.0
-    if order is None:
-        order = np.argsort(-scores, kind="stable")
-    return _kernels.weighted_areas(scores[order], soft_labels[order])
+        return 1.0
+    order, block_end = _sorted_blocks(scores)
+    roc, pr = _kernels.weighted_areas(soft_labels[order], block_end)
+    return roc if kind == "roc" else pr
 
 
 def vus(
@@ -164,21 +167,44 @@ def vus(
     Buffer widths are ``steps + 1`` evenly spaced values from 0 to
     ``w_max``, rounded to integers and deduplicated; ``w_max=0``
     degenerates to the plain soft-label-free areas.  Each width's areas
-    follow :func:`auc_weighted`; the scores are sorted, and the distances
-    to the spans measured, once per call.
+    equal :func:`auc_weighted` on :func:`continuous_labels` bit for bit.
+
+    Everything that does not depend on the width is done once per call:
+    the scores are sorted and their tie blocks found, the span distances
+    and binary labels are permuted into descending-score order, and the
+    buffers are allocated.  A width then computes its soft labels in
+    sorted order (elementwise, so they equal the permuted labels) and its
+    areas in those buffers.  The labels lie in [0, 1], so the mass checks
+    are ``max > 0`` (some positive mass) and ``min < 1`` (some negative).
     """
     if w_max < 0:
         raise ValueError(f"w_max must be >= 0, got {w_max}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     values = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(-values, kind="stable")
+    n = len(truth.labels)
+    if values.shape != (n,):
+        raise LengthMismatchError(
+            f"scores and labels lengths differ: {values.shape} vs {(n,)}"
+        )
+    if not truth.spans:
+        raise NoPositiveMassError("soft labels sum to zero")
+    order, block_end = _sorted_blocks(values)
+    dist = _span_distances(truth)[order]
+    binary = truth.labels[order].astype(np.float64)
+    soft = np.empty(n)
+    work = np.empty((5, n + 1))
     widths = np.unique(np.rint(np.linspace(0.0, w_max, steps + 1)).astype(int))
     rocs = np.empty(len(widths))
     prs = np.empty(len(widths))
-    dist = _span_distances(truth)
     for i, w in enumerate(widths):
-        rocs[i], prs[i] = _soft_areas(values, _soft_labels(truth, dist, int(w)), order)
+        labels = binary if w == 0 else _decay(dist, int(w), out=soft)
+        if labels.max() <= 0.0:
+            raise NoPositiveMassError("soft labels sum to zero")
+        if labels.min() >= 1.0:
+            rocs[i] = prs[i] = 1.0
+        else:
+            rocs[i], prs[i] = _kernels.weighted_areas(labels, block_end, work)
     if len(widths) == 1:
         return float(rocs[0]), float(prs[0])
     span = float(widths[-1] - widths[0])

@@ -205,9 +205,10 @@ def generate_synthetic(spec: SynthSpec) -> list[LabeledSeries]:
 def write_synthetic(spec: SynthSpec, out_dir: str | Path) -> list[Path]:
     """Write the benchmark as UCR-style text files, one value per line."""
     out_dir = Path(out_dir)
+    generated = generate_synthetic(spec)  # validates before anything is created
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for series in generate_synthetic(spec):
+    for series in generated:
         path = out_dir / f"{series.id}.txt"
         path.write_text("\n".join(repr(float(v)) for v in series.values) + "\n")
         paths.append(path)

@@ -146,6 +146,63 @@ def vus_enum(scores, spans, n: int, w_max: int, steps: int) -> tuple[float, floa
     return roc / span, pr / span
 
 
+class ReferenceMassError(Exception):
+    """The reference's soft labels sum to zero at some width."""
+
+
+def vus_reference(scores, truth, w_max: int, steps: int) -> tuple[float, float]:
+    """The volume computed the straightforward way, frozen for exact pins.
+
+    Per width: full-length soft labels, gathered into stable descending
+    score order, cumulative masses gathered at the tie-block ends, and
+    curves built with ``np.concatenate`` and integrated with
+    ``np.trapezoid``.  Raises :class:`ReferenceMassError` where no span
+    gives the labels positive mass; widths whose labels are all 1 score
+    (1.0, 1.0).
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(truth.labels)
+    order = np.argsort(-scores, kind="stable")
+    widths = np.unique(np.rint(np.linspace(0.0, w_max, steps + 1)).astype(int))
+    t = np.arange(len(labels))
+    dist = np.full(len(t), np.inf)
+    for start, end in truth.spans:
+        dist = np.minimum(dist, np.maximum(np.maximum(start - t, t - end), 0))
+    rocs = np.empty(len(widths))
+    prs = np.empty(len(widths))
+    for i, w in enumerate(widths):
+        if not truth.spans:
+            soft = np.zeros(len(dist))
+        elif w == 0:
+            soft = labels.astype(np.float64)
+        else:
+            soft = np.sqrt(np.clip(1.0 - dist / int(w), 0.0, None))
+        if float(soft.sum()) <= 0.0:
+            raise ReferenceMassError("soft labels sum to zero")
+        if float(np.sum(1.0 - soft)) <= 0.0:
+            rocs[i] = prs[i] = 1.0
+            continue
+        s = scores[order]
+        y = soft[order]
+        tp_run = np.cumsum(y)
+        fp_run = np.cumsum(1.0 - y)
+        block_end = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
+        tp = tp_run[block_end]
+        fp = fp_run[block_end]
+        tpr = np.concatenate(([0.0], tp / tp[-1]))
+        fpr = np.concatenate(([0.0], fp / fp[-1]))
+        prec = np.concatenate(([1.0], tp / (tp + fp)))
+        rocs[i] = float(np.trapezoid(tpr, fpr))
+        prs[i] = float(np.trapezoid(prec, tpr))
+    if len(widths) == 1:
+        return float(rocs[0]), float(prs[0])
+    span = float(widths[-1] - widths[0])
+    return (
+        float(np.trapezoid(rocs, widths) / span),
+        float(np.trapezoid(prs, widths) / span),
+    )
+
+
 def sma_formula(values: np.ndarray, window: int) -> np.ndarray:
     """Literal trailing-mean formula, averaging available points at the head.
 

@@ -176,6 +176,12 @@ class TestRun:
         assert main(argv) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    def test_rejected_synth_spec_creates_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "negsynth" / "ds"
+        assert main(["synth", "--out", str(out), "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists() and not out.parent.exists()
+
     def test_bad_anomaly_len_exit_2(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "ds"),
                      "--anomaly-len", "banana"]) == 2
@@ -191,6 +197,21 @@ class TestSweepAndDiag:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "fraction,domain,vus_roc,n_series"
         assert len(lines) == 1 + 2 * 2
+
+    @pytest.mark.parametrize("where", ["--fractions", "config fractions"])
+    def test_repeated_fraction_exits_2(self, tmp_path, capsys, where):
+        out = tmp_path / "out"
+        if where == "--fractions":
+            cfg = write_config(tmp_path, bootstrap_iterations=0)
+            argv = ["sweep", "--config", str(cfg), "--out", str(out),
+                    "--fractions", "0.5,1.0,0.50"]
+        else:
+            cfg = write_config(tmp_path, bootstrap_iterations=0, fractions=[1.0, 0.5, 1])
+            argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        repeated = "0.5" if where == "--fractions" else "1"
+        assert f"fraction {repeated}" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
 
     def test_diag_similarity(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bootstrap_iterations=0)

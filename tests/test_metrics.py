@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import auc_enum, confusion_prf, soft_labels_direct, vus_enum
+from oracles import (
+    ReferenceMassError,
+    auc_enum,
+    confusion_prf,
+    soft_labels_direct,
+    vus_enum,
+    vus_reference,
+)
 from ratfm.errors import EmptyInputError, LengthMismatchError, NoPositiveMassError
 from ratfm.metrics import (
     EvalReport,
@@ -197,10 +206,48 @@ class TestVus:
         if spans == [(0, 59)]:
             assert got == (1.0, 1.0)
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize("n_scores", [4, 6])
+    def test_length_mismatch(self, n_scores):
         gt = GroundTruth.from_spans([(1, 2)], length=5)
         with pytest.raises(LengthMismatchError):
-            vus(np.ones(4), gt, w_max=2, steps=2)
+            vus(np.ones(n_scores), gt, w_max=2, steps=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        decimals=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        spans=st.lists(
+            st.tuples(st.integers(-40, 340), st.integers(0, 80)), max_size=3
+        ),
+        cover_all=st.booleans(),
+        w_max=st.integers(0, 150),
+        steps=st.integers(1, 25),
+    )
+    def test_matches_frozen_reference_bitwise(
+        self, n, decimals, seed, spans, cover_all, w_max, steps
+    ):
+        # rounding forces tied blocks; spans may start before 0, end past
+        # n - 1, or (cover_all) label every point
+        scores = np.round(np.random.default_rng(seed).random(n), decimals)
+        spans = [(a, a + length) for a, length in spans]
+        if cover_all:
+            spans.append((-1, n))
+        gt = GroundTruth.from_spans(spans, length=n)
+        try:
+            expected = vus_reference(scores, gt, w_max, steps)
+        except ReferenceMassError:
+            with pytest.raises(NoPositiveMassError):
+                vus(scores, gt, w_max, steps)
+            return
+        assert vus(scores, gt, w_max, steps) == expected
+
+    def test_long_series_matches_frozen_reference_bitwise(self):
+        rng = np.random.default_rng(21)
+        n = 50_000
+        scores = np.round(rng.gamma(2.0, size=n), 3)
+        gt = GroundTruth.from_spans([(-5, 40), (31_000, 31_180), (49_990, 50_020)], n)
+        assert vus(scores, gt, w_max=150, steps=20) == vus_reference(scores, gt, 150, 20)
 
     def test_random_scores_near_half(self):
         rng = np.random.default_rng(6)
