@@ -12,7 +12,6 @@ from .dataset import (
     LabeledSeries,
     StandardizationParams,
     Window,
-    destandardize,
     load_dataset,
     make_windows,
     parse_ucr_file,
@@ -27,8 +26,6 @@ from .forecast import (
     SeasonalNaiveForecaster,
     assemble_context,
     forecast,
-    load_weights,
-    save_weights,
     train_linear,
     zero_shot_context,
 )
@@ -94,13 +91,11 @@ __all__ = [
     "auc_weighted",
     "bootstrap",
     "continuous_labels",
-    "destandardize",
     "emit_reports",
     "estimate_period",
     "forecast",
     "generate_synthetic",
     "load_dataset",
-    "load_weights",
     "make_windows",
     "ncc_max",
     "parse_ucr_file",
@@ -108,7 +103,6 @@ __all__ = [
     "prepare_run",
     "retrieve_best",
     "run_setting",
-    "save_weights",
     "similarity_diagnostics",
     "sma_smooth",
     "standardize",

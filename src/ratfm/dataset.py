@@ -161,14 +161,25 @@ def standardize(series: LabeledSeries) -> tuple[LabeledSeries, StandardizationPa
 
     Uses the population (1/N) standard deviation; a constant training
     region falls back to the ``epsilon`` divisor so outputs stay finite.
+    Finite values whose statistics or z-scores overflow float64 are a
+    :class:`DatasetError`.
     """
     if series.train_end < 2:
         raise SeriesTooShortError(
             f"{series.id}: need train_end >= 2, got {series.train_end}"
         )
     train = series.train_values
-    params = StandardizationParams(mean=float(train.mean()), std=float(train.std()))
-    transformed = (series.values - params.mean) / params.divisor
+    with np.errstate(over="ignore", invalid="ignore"):
+        params = StandardizationParams(mean=float(train.mean()), std=float(train.std()))
+        transformed = (series.values - params.mean) / params.divisor
+    if not (
+        math.isfinite(params.mean)
+        and math.isfinite(params.std)
+        and np.isfinite(transformed).all()
+    ):
+        raise DatasetError(
+            f"series {series.id!r}: values overflow float64 when standardized"
+        )
     out = LabeledSeries(
         id=series.id,
         domain=series.domain,
@@ -178,11 +189,6 @@ def standardize(series: LabeledSeries) -> tuple[LabeledSeries, StandardizationPa
         source_path=series.source_path,
     )
     return out, params
-
-
-def destandardize(values: np.ndarray, params: StandardizationParams) -> np.ndarray:
-    """Inverse of :func:`standardize` on a value array."""
-    return np.asarray(values, dtype=np.float64) * params.divisor + params.mean
 
 
 def make_windows(

@@ -12,10 +12,8 @@ target future.  Three desk-scale forecasters are provided:
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -28,9 +26,6 @@ from .errors import (
     PeriodTooLongError,
     SingularSystemError,
 )
-
-WEIGHTS_FORMAT = "ratfm-linear-weights"
-WEIGHTS_VERSION = 1
 
 
 class Budget(NamedTuple):
@@ -276,25 +271,3 @@ def forecast(forecaster: Forecaster, ctx: ContextWindow) -> np.ndarray:
         raise ValueError(f"{forecaster.name} produced non-finite values")
     return out
 
-
-def save_weights(forecaster: LinearForecaster, path: str | Path) -> None:
-    """Persist linear weights as versioned JSON."""
-    payload = {
-        "format": WEIGHTS_FORMAT,
-        "version": WEIGHTS_VERSION,
-        "budget": list(forecaster.budget),
-        "weights": forecaster.weights.tolist(),
-    }
-    Path(path).write_text(json.dumps(payload) + "\n")
-
-
-def load_weights(path: str | Path) -> LinearForecaster:
-    """Load a forecaster saved by :func:`save_weights`."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != WEIGHTS_FORMAT:
-        raise ValueError(f"unrecognized weights file format: {payload.get('format')}")
-    if payload.get("version") != WEIGHTS_VERSION:
-        raise ValueError(f"unsupported weights version: {payload.get('version')}")
-    return LinearForecaster(
-        np.array(payload["weights"], dtype=np.float64), Budget(*payload["budget"])
-    )

@@ -9,9 +9,10 @@ Retrieval is exact and pruned by an upper bound, as in the UCR suite
 (Rakthanmanon et al., KDD 2012): with ``nfft >= 2L - 1`` every lag obeys
 ``|cc_k| <= (1/nfft) * sum_f w_f |Q_f| |C_f|`` over the rfft bins, ``w_f``
 1 at DC and Nyquist and 2 elsewhere.  :func:`best_candidates` scores rows
-best bound first, in index-sorted blocks of ``_CHUNK_ROWS``, until the
-next bound is below (``<``, so ties are scored) the lowest best of the
-subsets asked for; each winner and score is bitwise the exhaustive one.
+best bound first, in index-sorted blocks (8 rows, doubling up to 64, so a
+best exists before many rows are scored), until the next bound is below
+(``<``, so ties are scored) the lowest best of the subsets asked for; each
+winner and score is bitwise the exhaustive one.
 The float32 bound's terms and sum over ``n`` bins round off by at most a
 relative ``(n + 2) * 2**-24`` (Higham, "Accuracy and Stability of
 Numerical Algorithms", ch. 4); it is raised by ``(n + 3) * 2**-20``, and
@@ -51,7 +52,7 @@ class SimilarityResult:
     candidate_index: int = -1
 
 
-# rows of the pool correlated per block in best_candidates
+# most rows of the pool correlated per block in best_candidates
 _CHUNK_ROWS = 64
 
 
@@ -224,12 +225,14 @@ def best_candidates(
     bounds = _score_bounds(fq, qnorm, mags)[rows]
     order = np.argsort(-bounds, kind="stable")
     rows, bounds = rows[order], bounds[order]
-    for lo in range(0, len(rows), _CHUNK_ROWS):
+    lo, size = 0, 8  # rows in the first block; each later one doubles
+    while lo < len(rows):
         # bounds descend: the rows whose bound reaches the lowest best lead
-        n_open = np.count_nonzero(bounds[lo : lo + _CHUNK_ROWS] >= best[live].min())
+        n_open = np.count_nonzero(bounds[lo : lo + size] >= best[live].min())
         if not n_open:
             break
         block = np.sort(rows[lo : lo + n_open])
+        lo, size = lo + size, min(2 * size, _CHUNK_ROWS)
         block_scores = _block_scores(fq, L, qnorm, spectra, norms, block)
         scores = np.where(member[:, block], block_scores, -np.inf)
         k = scores.argmax(axis=1)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import _kernels
 from .errors import (
@@ -26,6 +27,9 @@ from .errors import (
 
 DEFAULT_DOMINANCE_THRESHOLD = 4.0
 DEFAULT_FALLBACK_PERIOD = 10
+
+# rows per write in dump_scores_csv; bounds the text held at once
+_CSV_CHUNK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,23 @@ def threshold_labels(scores: np.ndarray) -> tuple[np.ndarray, float]:
     return labels, threshold
 
 
+def _float_reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each float64 in ``values``, formatted by orjson.
+
+    orjson and ``repr`` both write the shortest digits that round-trip,
+    closest to the exact value with ties to even, and write them the
+    same way for zero and for ``1e-4 <= |v| < 1e16``; every other value
+    (small, huge, subnormal, NaN, infinite) goes through ``repr``.
+    """
+    if not len(values):
+        return []
+    out = orjson.dumps(values.tolist())[1:-1].decode().split(",")
+    mag = np.abs(values)
+    for i in np.flatnonzero((values != 0.0) & ~((mag >= 1e-4) & (mag < 1e16))):
+        out[i] = repr(float(values[i]))
+    return out
+
+
 def dump_scores_csv(
     path: str | Path,
     series_id: str,
@@ -165,24 +186,26 @@ def dump_scores_csv(
     """Write one series' scores as plot-ready CSV.
 
     The format is ``csv.writer``'s default dialect (CRLF line ends,
-    minimal quoting) with every float written as its ``repr``.  The file
-    is built as one string and written once; only the series id can need
-    quoting, so it goes through ``csv.writer`` once.
+    minimal quoting) with every float written as its ``repr``.  Rows are
+    built and written ``_CSV_CHUNK_ROWS`` at a time; only the series id
+    can need quoting, so it goes through ``csv.writer`` once.
     """
     # a one-field row would quote an empty id, so quote it beside a second field
     buf = io.StringIO()
     csv.writer(buf).writerow([series_id, 0])
     sid = buf.getvalue()[: -len(",0\r\n")]
     tail = f",{threshold!r}\r\n"
-    rows = zip(
-        range(t_absolute_start, t_absolute_start + len(raw)),
-        np.asarray(raw, dtype=np.float64).tolist(),
-        np.asarray(smoothed, dtype=np.float64).tolist(),
-        np.asarray(labels).astype(np.int64).tolist(),
-    )
-    header = "series_id,t_absolute,raw_score,smoothed_score,label,threshold\r\n"
-    text = header + "".join(
-        f"{sid},{t},{r!r},{s!r},{label}{tail}" for t, r, s, label in rows
-    )
+    raw = np.asarray(raw, dtype=np.float64)
+    smoothed = np.asarray(smoothed, dtype=np.float64)
+    labels = np.asarray(labels)
     with Path(path).open("w", newline="") as fh:
-        fh.write(text)
+        fh.write("series_id,t_absolute,raw_score,smoothed_score,label,threshold\r\n")
+        for lo in range(0, len(raw), _CSV_CHUNK_ROWS):
+            hi = lo + _CSV_CHUNK_ROWS
+            rows = zip(
+                range(t_absolute_start + lo, t_absolute_start + hi),
+                _float_reprs(raw[lo:hi]),
+                _float_reprs(smoothed[lo:hi]),
+                labels[lo:hi].astype(np.int64).tolist(),
+            )
+            fh.write("".join(f"{sid},{t},{r},{s},{lab}{tail}" for t, r, s, lab in rows))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ratfm
 from ratfm.cli import main
 
 CONFIG = {
@@ -88,6 +93,28 @@ class TestSynthIngest:
         assert ingest_err == (
             "dataset error: series '003_dom0_5_6_7' cannot be prepared: "
             "need at least 8 points, got 5\n"
+        )
+
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    def test_overflowing_statistics_exit_3(self, tmp_path, command):
+        # finite values whose training mean overflows float64; a fresh
+        # process shows any numpy warning on stderr as a user would see it
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        values = [1e307 * (1.5 + (i % 7) / 10) for i in range(300)]
+        (ds / "001_dom_150_200_210.txt").write_text(" ".join(map(repr, values)))
+        argv = {
+            "ingest": ["ingest", str(ds)],
+            "run": ["run", "--setting", "zero_shot_naive", "--dataset", str(ds),
+                    "--out", str(tmp_path / "out")],
+        }[command]
+        env = dict(os.environ, PYTHONPATH=str(Path(ratfm.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "ratfm.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "dataset error: series '001_dom_150_200_210': "
+            "values overflow float64 when standardized\n"
         )
 
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from ratfm.dataset import (
     LabeledSeries,
     dump_metadata,
-    destandardize,
     load_dataset,
     make_windows,
     parse_ucr_file,
@@ -208,7 +207,7 @@ class TestStandardize:
         vals = rng.normal(5.0, 2.5, size=200)
         s = make_series(vals, train_end=120)
         out, params = standardize(s)
-        assert np.allclose(destandardize(out.values, params), vals, atol=1e-9)
+        assert np.allclose(out.values * params.divisor + params.mean, vals, atol=1e-9)
 
     def test_params_from_train_only(self):
         rng = np.random.default_rng(4)
@@ -223,6 +222,18 @@ class TestStandardize:
         s = make_series([1.0, 2.0], train_end=1)
         with pytest.raises(SeriesTooShortError):
             standardize(s)
+
+    @pytest.mark.parametrize("train, rest", [
+        ([1e307, 1.5e307, 1.2e307], [1e307]),  # the mean overflows
+        ([1e307, -1e307, 1e307, -1e307], [0.0]),  # the std overflows
+        ([0.0, 1e-9, 0.0], [1e307]),  # a z-score overflows
+    ])
+    def test_overflow_is_a_dataset_error(self, train, rest):
+        s = make_series(train + rest, train_end=len(train))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match="overflow float64 when"):
+                standardize(s)
 
 
 class TestWindows:

@@ -18,8 +18,6 @@ from ratfm.forecast import (
     SeasonalNaiveForecaster,
     assemble_context,
     forecast,
-    load_weights,
-    save_weights,
     train_linear,
     zero_shot_context,
 )
@@ -276,21 +274,3 @@ class TestForecastDispatch:
         ]
         assert float(np.mean(sses)) <= final_mse + 1e-9
 
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(15)
-        fc, _ = train_linear([make_ctx(rng, Budget(4, 2, 4)) for _ in range(12)], reg=0.5)
-        path = tmp_path / "weights.json"
-        save_weights(fc, path)
-        loaded = load_weights(path)
-        assert np.array_equal(loaded.weights, fc.weights)
-        assert loaded.budget == fc.budget
-        ctx = make_ctx(np.random.default_rng(16), Budget(4, 2, 4))
-        assert np.array_equal(loaded.forecast(ctx), fc.forecast(ctx))
-
-    def test_rejects_unknown_format(self, tmp_path):
-        path = tmp_path / "weights.json"
-        path.write_text('{"format": "other", "version": 1}')
-        with pytest.raises(ValueError):
-            load_weights(path)

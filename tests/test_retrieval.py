@@ -332,6 +332,26 @@ class TestCandidateScores:
             retrieve_best(q, pool)
             assert sum(rows) == len(scored) + 1
 
+    def test_first_block_is_small_when_the_top_bound_wins(self, monkeypatch):
+        # one row has the query's shape (score 1, the highest bound); the
+        # other 240 are noise, whose bounds stay below 1
+        rng = np.random.default_rng(8)
+        L = 32
+        query = win("q", 0, rng.normal(size=L))
+        entries = [win(f"c{i % 6}", i, rng.normal(size=L)) for i in range(240)]
+        entries.insert(150, win("t", 0, 2.0 * query.input))
+        pool = CandidatePool(domain="d", entries=entries)
+        q = np.asarray(query.input)
+        fq = np.fft.rfft(q, retrieval._fft_size(L))
+        mags = pool._arrays()[4]
+        bounds = retrieval._score_bounds(fq, float(np.linalg.norm(q)), mags)
+        assert int(np.argmax(bounds)) == 150
+        blocks = spy_blocks(monkeypatch)
+        ((idx, score),) = best_candidates(query, pool, [np.arange(len(pool))])
+        assert idx == 150
+        scored = sum(len(rows) for rows, _ in blocks)
+        assert scored <= 8 + np.count_nonzero(bounds >= score)
+
     def test_best_candidate_lowest_index_and_no_usable_row(self):
         rng = np.random.default_rng(7)
         L = 16

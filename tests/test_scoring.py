@@ -224,18 +224,70 @@ class TestCsvDump:
         ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rlf", " lead", "",
          "séries_ü_日本"],
     )
-    def test_bytes_match_csv_writer_per_row(self, tmp_path, series_id):
+    def test_bytes_match_csv_writer_per_row(self, tmp_path, series_id, monkeypatch):
+        # two-row chunks: row counts before, at and across chunk ends, up to
+        # two chunks and one row
+        monkeypatch.setattr(scoring, "_CSV_CHUNK_ROWS", 2)
         raw = np.array([0.0, 5e-324, 0.1, 1e300, 2.5])
         smoothed = np.array([1e300, 0.1, 5e-324, 0.0, 1.0 / 3.0])
         for labels in (np.array([0, 1, 1, 0, 1], dtype=np.uint8),
                        np.array([True, False, True, False, False])):
-            for n_rows in (0, 1, len(raw)):
+            for n_rows in range(len(raw) + 1):
                 args = (series_id, 7, raw[:n_rows], smoothed[:n_rows],
                         labels[:n_rows], 0.30000000000000004)
                 dump_scores_csv(tmp_path / "fast.csv", *args)
                 per_row_csv(tmp_path / "ref.csv", *args)
                 expected = (tmp_path / "ref.csv").read_bytes()
                 assert (tmp_path / "fast.csv").read_bytes() == expected
+
+    def test_bytes_match_csv_writer_over_two_chunks_and_a_row(self, tmp_path):
+        n = 2 * scoring._CSV_CHUNK_ROWS + 1
+        rng = np.random.default_rng(12)
+        raw = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, n)
+        raw[::97] = np.nan
+        smoothed = np.abs(raw[::-1])
+        args = ("s", 3, raw, smoothed, smoothed > 1.0, 0.5)
+        dump_scores_csv(tmp_path / "fast.csv", *args)
+        per_row_csv(tmp_path / "ref.csv", *args)
+        expected = (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "fast.csv").read_bytes() == expected
+
+    def test_200k_rows_in_bounded_memory(self, tmp_path):
+        n = 200_000
+        raw = np.abs(np.random.default_rng(13).standard_normal(n))
+        smoothed = sma_smooth(raw, 50)
+        labels = (smoothed > 1.0).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            dump_scores_csv(tmp_path / "s.csv", "series", 0, raw, smoothed, labels, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # holding the whole file's text and row strings at once peaks near 45 MB
+        assert peak < 20 * 2**20
+
+    def test_float_reprs_at_notation_edges(self):
+        edges = []
+        for edge in (1e-4, 1e16):
+            edges += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+        edges += [0.0, 5e-324, np.finfo(np.float64).max]
+        a = floats(edges + [-v for v in edges])
+        assert scoring._float_reprs(a) == [repr(v) for v in a.tolist()]
+
+
+# any float64: hypothesis' floats (NaN, inf, subnormals) and raw bit patterns
+_FLOAT_ARRAYS = st.one_of(
+    st.lists(st.floats(), max_size=40).map(floats),
+    st.lists(st.integers(0, 2**64 - 1), max_size=40).map(
+        lambda bits: np.array(bits, dtype=np.uint64).view(np.float64)
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FLOAT_ARRAYS)
+def test_float_reprs_match_repr(a):
+    assert scoring._float_reprs(a) == [repr(v) for v in a.tolist()]
 
 
 def per_row_csv(path, series_id, t_absolute_start, raw, smoothed, labels, threshold):
