@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import (
     DatasetError,
@@ -25,6 +26,9 @@ from .errors import (
 )
 
 STD_EPSILON = 1e-8
+
+# tokens parsed per orjson call in parse_ucr_file; bounds the joined text
+_PARSE_CHUNK_TOKENS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -129,11 +133,21 @@ def parse_ucr_file(path: str | Path) -> LabeledSeries:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     if not tokens:
         raise EmptySeriesError(f"{path.name}: file holds no values")
-    # numpy parses each string with Python's float(), so the bulk values
-    # are bitwise those of float(tok); on failure the loop names the first
-    # offending token
+    # orjson reads numbers correctly rounded, as float() does, so a chunk it
+    # returns as all floats is bitwise float(tok) of each token; ints (so "-0"
+    # keeps its sign) and what JSON rejects go through numpy, which calls
+    # float() per string.  On failure the loop names the first offending token.
+    values = np.empty(len(tokens))
     try:
-        values = np.array(tokens, dtype=np.float64)
+        for i in range(0, len(tokens), _PARSE_CHUNK_TOKENS):
+            chunk = tokens[i : i + _PARSE_CHUNK_TOKENS]
+            try:
+                parsed = orjson.loads("[" + ",".join(chunk) + "]")
+            except orjson.JSONDecodeError:
+                parsed = []
+            if len(parsed) != len(chunk) or set(map(type, parsed)) != {float}:
+                parsed = np.array(chunk, dtype=np.float64)
+            values[i : i + len(chunk)] = parsed
         finite = bool(np.isfinite(values).all())
     except ValueError:
         finite = False

@@ -1,7 +1,7 @@
 """Experiment orchestration: configs, pipeline runs, sweeps, diagnostics.
 
 A run loads (or generates) a multi-domain dataset, standardizes every
-series with its training statistics, builds per-domain retrieval pools,
+series with its training statistics, cuts retrieval pools on first use,
 and evaluates one pipeline setting per series: forecast each test
 window, turn deviations into scores, smooth, threshold, and score the
 result with point-wise and threshold-free metrics.  Per-series failures
@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -183,6 +184,9 @@ def _build(cls, fields: dict):
 class PreparedRun:
     """Standardized series, per-series periods, and per-domain pools.
 
+    ``pools`` is keyed by domain and filled by :func:`_domain_pool`, which
+    cuts a domain's pool with the config of the first retrieval that needs
+    it; every caller passes the config that prepared the run.
     ``_examples`` holds each series' windows and, per pool fraction,
     their retrieved examples, filled lazily by :func:`_retrieved` so
     that every retrieval consumer of the run cuts a series' windows and
@@ -193,6 +197,9 @@ class PreparedRun:
     periods: dict[str, int]
     pools: dict[str, CandidatePool]
     _examples: dict = field(default_factory=dict, repr=False, compare=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
 
 def _load_series(config: ExperimentConfig) -> list[LabeledSeries]:
@@ -221,30 +228,39 @@ def prepare_series(
 
 
 def prepare_run(config: ExperimentConfig) -> PreparedRun:
-    """Standardize, estimate periods, and build retrieval pools."""
+    """Standardize and estimate periods; pools are cut on first retrieval."""
     config.validate()
-    te, h, tt = config.budget
-    # dense pools by default: retrieval quality hinges on phase coverage
-    pool_stride = (
-        config.pool_stride if config.pool_stride is not None else max(1, h // 12)
-    )
     series = []
     periods = {}
-    by_domain: dict[str, list[Window]] = {}
     for raw in _load_series(config):
         std, periods[raw.id] = prepare_series(raw, config.period_source)
         series.append(std)
+    return PreparedRun(series=series, periods=periods, pools={})
+
+
+def _domain_pool(
+    config: ExperimentConfig, data: PreparedRun, domain: str
+) -> CandidatePool:
+    """``domain``'s pool, cut once per run: each of its series' windows in
+    load order, from the train region and, for ``retrieval_region="full"``,
+    the test region, subsampled to ``config.pool_fraction``."""
+    with data._lock:
+        if domain in data.pools:
+            return data.pools[domain]
+        te, h, _ = config.budget
+        # dense pools by default: retrieval quality hinges on phase coverage
+        stride = config.pool_stride or max(1, h // 12)
         regions = ["train"] if config.retrieval_region == "train" else ["train", "test"]
-        for region in regions:
-            wins = make_windows(std, region, te, h, pool_stride)
-            by_domain.setdefault(std.domain, []).extend(wins)
-    pools = {}
-    for domain, wins in sorted(by_domain.items()):
+        wins = []
+        for s in data.series:
+            if s.domain == domain:
+                for region in regions:
+                    wins += make_windows(s, region, te, h, stride)
         pool = CandidatePool(domain=domain, entries=wins, seed=config.seed)
         if config.pool_fraction < 1.0:
             pool = subsample_pool(pool, config.pool_fraction, config.seed)
-        pools[domain] = pool
-    return PreparedRun(series=series, periods=periods, pools=pools)
+        data.pools[domain] = pool
+        return pool
 
 
 def _retrieval_query(window: Window, example_len: int) -> Window:
@@ -296,8 +312,7 @@ def _retrieved(
     windows = data._examples[key]
     missing = [f for f in fractions if key + (f,) not in data._examples]
     if missing:
-        # a domain without a pool fails every query, as an empty pool does
-        pool = data.pools.get(series.domain) or CandidatePool(series.domain, [])
+        pool = _domain_pool(config, data, series.domain)
         kept = [subsample_indices(len(pool), f, config.seed) for f in missing]
         found: list[list] = [[] for _ in missing]
         for w in windows:

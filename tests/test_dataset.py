@@ -1,13 +1,18 @@
 import json
+import math
 import tempfile
+import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratfm.dataset as dataset
 from ratfm.dataset import (
     LabeledSeries,
     dump_metadata,
@@ -30,6 +35,52 @@ def write_series(tmp_path, name, values):
     path = tmp_path / name
     path.write_text(" ".join(str(v) for v in values))
     return path
+
+
+def float_path(name, tokens):
+    """Values of ``tokens`` by ``float()``, or the error naming the first
+    token that is not a finite number."""
+    values = []
+    for tok in tokens:
+        try:
+            value = float(tok)
+        except ValueError:
+            return NonNumericTokenError(f"{name}: bad token {tok!r}")
+        if not math.isfinite(value):
+            return NonNumericTokenError(f"{name}: non-finite token {tok!r}")
+        values.append(value)
+    return np.array(values)
+
+
+def halfway(x):
+    """The exact decimal midway between float ``x`` and the next float up."""
+    return str((Decimal(x) + Decimal(np.nextafter(x, np.inf))) / 2)
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=40)
+_SIGN = st.sampled_from(["", "-"])
+_EXPONENT = st.one_of(
+    st.just(""),
+    st.builds("{}{}".format, st.sampled_from(["e", "E"]), st.integers(-345, 330)),
+    st.integers(0, 330).map("e+{}".format),
+)
+# JSON floats, which orjson parses, and JSON ints it returns as ints
+_NUMBER = st.one_of(
+    st.builds("{}{}.{}{}".format, _SIGN, _DIGITS, _DIGITS, _EXPONENT),
+    st.builds("{}{}{}".format, _SIGN, _DIGITS, _EXPONENT),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds("{}{}".format, _SIGN, st.floats(0.0, 1.7e308).map(halfway)),
+)
+# big ints, tokens JSON rejects, and tokens float() rejects or reads as
+# non-finite
+_ODD = st.one_of(
+    st.integers(-(10**400), 10**400).map(str),
+    st.sampled_from(
+        ["-0", "1_000", "+1", ".5", "1.", "01.5", "\u0661\u0662\u0663", "\uff11\uff12"]
+        + ["nan", "-inf", "Infinity", "0x1f", "abc", "1,2", "[1", "1]", '"1"', "true"]
+    ),
+)
+_TOKEN = st.integers(0, 9).flatmap(lambda k: _ODD if k == 0 else _NUMBER)
 
 
 def make_series(values, train_end, spans=(), sid="s", domain="d"):
@@ -146,6 +197,68 @@ class TestParse:
         with pytest.raises(NonNumericTokenError) as info:
             parse_ucr_file(path)
         assert str(info.value) == f"a_b_1_2_3.txt: {message}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_TOKEN, st.sampled_from([" ", "\t", "\r\n", "\x1c", "\u2003"])),
+            min_size=6,
+            max_size=40,
+        ),
+        st.integers(1, 8),
+    )
+    def test_values_or_error_are_those_of_float(self, tokens, chunk):
+        text = "".join(tok + sep for tok, sep in tokens)
+        expected = float_path("a_b_3_4_5.txt", text.split())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a_b_3_4_5.txt"
+            path.write_text(text)
+            with mock.patch.object(dataset, "_PARSE_CHUNK_TOKENS", chunk):
+                if isinstance(expected, Exception):
+                    with pytest.raises(type(expected)) as info:
+                        parse_ucr_file(path)
+                    assert str(info.value) == str(expected)
+                else:
+                    values = parse_ucr_file(path).values
+                    assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1.5 2.5 -0 3.5 4.5 5.5", [1.5, 2.5, -0.0, 3.5, 4.5, 5.5]),
+            ("1.5 2.5 1_000 \u0661\u0662\u0663 4.5 5", [1.5, 2.5, 1e3, 123.0, 4.5, 5.0]),
+            ("1.5 2.5 3.5 1e400 4.5 5.5", "non-finite token '1e400'"),
+            ("1.5 2.5 nan 3.5 4.5 5.5", "non-finite token 'nan'"),
+            ("1.5 2.5 3.5 4.5 abc 5.5", "bad token 'abc'"),
+        ],
+    )
+    def test_two_token_chunks(self, tmp_path, monkeypatch, text, expected):
+        monkeypatch.setattr(dataset, "_PARSE_CHUNK_TOKENS", 2)
+        path = tmp_path / "a_b_3_4_5.txt"
+        path.write_text(text)
+        if isinstance(expected, str):
+            with pytest.raises(NonNumericTokenError) as info:
+                parse_ucr_file(path)
+            assert str(info.value) == f"a_b_3_4_5.txt: {expected}"
+        else:
+            values = parse_ucr_file(path).values
+            assert values.tobytes() == np.array(expected).tobytes()
+            assert np.signbit(values).tolist() == np.signbit(expected).tolist()
+
+    def test_300k_tokens_in_bounded_memory(self, tmp_path):
+        # parsing the joined text of all 300 000 tokens in one call peaks
+        # near 41 MB; 65 536-token chunks near 30 MB
+        values = np.random.default_rng(0).normal(size=300_000)
+        path = tmp_path / "a_b_100000_150000_150100.txt"
+        path.write_text("\n".join(map(repr, values.tolist())))
+        tracemalloc.start()
+        try:
+            parsed = parse_ucr_file(path).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.tobytes() == values.tobytes()
+        assert peak < 32 * 2**20
 
     def test_load_dataset_sorted(self, tmp_path):
         write_series(tmp_path, "002_B_3_5_6.txt", range(10))

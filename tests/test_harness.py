@@ -4,6 +4,7 @@ import json
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import ratfm.harness as harness
 import ratfm.retrieval as retrieval
 from oracles import exhaustive_best, exhaustive_scores
+from ratfm.dataset import make_windows
 from ratfm.errors import ConfigError, DatasetError, InvalidFractionError, RatfmError
 from ratfm.forecast import Budget
 from ratfm.harness import (
@@ -41,9 +43,18 @@ SPEC = SynthSpec(
 )
 
 
-def subsampled(data, fraction, seed):
+def domain_pools(cfg, data):
+    """Every domain's pool of ``data``, cut as its first retrieval cuts it."""
+    domains = sorted({s.domain for s in data.series})
+    return {dom: harness._domain_pool(cfg, data, dom) for dom in domains}
+
+
+def subsampled(cfg, data, fraction):
     """``data`` with every pool passed through ``subsample_pool``."""
-    pools = {dom: subsample_pool(p, fraction, seed) for dom, p in data.pools.items()}
+    pools = {
+        dom: subsample_pool(p, fraction, cfg.seed)
+        for dom, p in domain_pools(cfg, data).items()
+    }
     return PreparedRun(series=data.series, periods=data.periods, pools=pools)
 
 
@@ -231,6 +242,80 @@ class TestPrepareRun:
                 pass
 
 
+class TestLazyPools:
+    def test_zero_shot_cuts_no_pool(self, monkeypatch):
+        cfg = config()
+        te, h, tt = cfg.budget
+        lengths = []
+        real = harness.make_windows
+
+        def spy(series, region, input_len, horizon, stride):
+            lengths.append(input_len)
+            return real(series, region, input_len, horizon, stride)
+
+        monkeypatch.setattr(harness, "make_windows", spy)
+        data = prepare_run(cfg)
+        assert run_setting(cfg, "zero_shot_naive", data=data).per_series
+        assert data.pools == {}
+        assert set(lengths) == {te + h + tt}
+
+    @pytest.mark.parametrize("region", ["train", "full"])
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_pools_hold_each_series_windows_in_load_order(self, region, fraction):
+        cfg = config(retrieval_region=region, pool_fraction=fraction, pool_stride=None)
+        data = prepare_run(cfg)
+        te, h, _ = cfg.budget
+        regions = ["train", "test"] if region == "full" else ["train"]
+        for s in data.series:
+            harness._retrieved(cfg, data, s, "test")
+        assert sorted(data.pools) == ["dom0", "dom1"]
+        for dom, pool in data.pools.items():
+            cut = [
+                (w.series_id, w.start)
+                for s in data.series
+                if s.domain == dom
+                for r in regions
+                for w in make_windows(s, r, te, h, max(1, h // 12))
+            ]
+            kept = retrieval.subsample_indices(len(cut), fraction, cfg.seed)
+            assert (len(kept) < len(cut)) == (fraction < 1.0)
+            assert [(e.series_id, e.start) for e in pool.entries] == [
+                cut[i] for i in kept
+            ]
+
+    def test_threads_touching_a_domain_first_cut_its_pool_once(self, monkeypatch):
+        cfg = config()
+        data = prepare_run(cfg)
+        domain = data.series[0].domain
+        calls = []
+        real = harness.make_windows
+
+        def slow(series, region, *args):
+            calls.append((series.id, region))
+            time.sleep(0.02)
+            return real(series, region, *args)
+
+        monkeypatch.setattr(harness, "make_windows", slow)
+        n = 8
+        barrier = threading.Barrier(n)
+        pools = [None] * n
+
+        def touch(i):
+            barrier.wait(timeout=30)
+            pools[i] = harness._domain_pool(cfg, data, domain)
+
+        threads = [threading.Thread(target=touch, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert pools[0] is not None and all(p is pools[0] for p in pools)
+        assert data.pools == {domain: pools[0]}
+        ids = [s.id for s in data.series if s.domain == domain]
+        assert collections.Counter(calls) == {(sid, "train"): 1 for sid in ids}
+
+
 class TestSharedRetrieval:
     """Every consumer of a prepared run scores a test query once."""
 
@@ -354,7 +439,7 @@ class TestPrunedRetrieval:
         data = prepare_run(cfg)
         te = cfg.budget.example_len
         pools = {}
-        for dom, pool in data.pools.items():
+        for dom, pool in domain_pools(cfg, data).items():
             entries = list(pool.entries)
             entries += [dataclasses.replace(e) for e in pool.entries]
             ids = [s.id for s in data.series if s.domain == dom]
@@ -558,10 +643,12 @@ class TestRunSetting:
         assert report.training["final_mse"] >= 0.0
 
     def test_full_retrieval_region_grows_pools(self):
-        train_only = prepare_run(config())
-        full = prepare_run(config(retrieval_region="full"))
-        for domain in train_only.pools:
-            assert len(full.pools[domain]) > len(train_only.pools[domain])
+        cfg, full_cfg = config(), config(retrieval_region="full")
+        train_only = domain_pools(cfg, prepare_run(cfg))
+        full = domain_pools(full_cfg, prepare_run(full_cfg))
+        assert set(train_only) == set(full) != set()
+        for domain in train_only:
+            assert len(full[domain]) > len(train_only[domain])
 
     def test_period_source_test_region(self):
         cfg = config(period_source="test")
@@ -626,7 +713,7 @@ class TestSweep:
         if setting == "ratfm_linear":
             trained, _ = harness._train_forecaster(cfg, data)
         for f in fractions:
-            sub = subsampled(data, f, cfg.seed)
+            sub = subsampled(cfg, data, f)
             expected = run_setting(cfg, setting, data=sub, trained=trained).to_json()
             assert sweep.reports[f].to_json() == expected
         assert len({sweep.reports[f].to_json() for f in fractions}) == len(fractions)
@@ -656,7 +743,7 @@ class TestSweep:
         cfg = config(bootstrap_iterations=0)
         data = prepare_run(cfg)
         fraction = 0.001  # keeps one entry per domain
-        sub = subsampled(data, fraction, cfg.seed)
+        sub = subsampled(cfg, data, fraction)
         assert all(len(pool) == 1 for pool in sub.pools.values())
         owners = {pool.entries[0].series_id: dom for dom, pool in sub.pools.items()}
         sweep = sweep_pool_fraction(cfg, [1.0, fraction])
