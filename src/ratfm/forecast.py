@@ -242,7 +242,7 @@ def train_linear(
                 "normal equations are rank-deficient with reg=0"
             )
     else:
-        gram = gram + reg * np.eye(dim + 1)
+        gram.flat[:: dim + 2] += reg  # the diagonal, without an identity matrix
     wt = np.linalg.solve(gram, A.T @ Y)  # (dim+1, horizon)
     weights = wt.T
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -108,8 +109,8 @@ class ExperimentConfig:
         te, h, tt = self.budget
         if te < 1 or tt < 1 or h < 2:
             raise ConfigError(f"bad budget {tuple(self.budget)}")
-        if self.ridge_reg < 0:
-            raise ConfigError("ridge_reg must be >= 0")
+        if not math.isfinite(self.ridge_reg) or self.ridge_reg < 0:
+            raise ConfigError(f"ridge_reg must be finite and >= 0, got {self.ridge_reg}")
         _check_fractions(self.fractions)
         if not 0.0 < self.pool_fraction <= 1.0:
             raise ConfigError(f"pool_fraction must lie in (0, 1], got {self.pool_fraction}")

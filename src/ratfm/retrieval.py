@@ -5,19 +5,45 @@ lags of their zero-padded (linear) cross-correlation, normalized by the
 product of the full-vector Euclidean norms: the shape-based distance of
 k-Shape, computed with FFTs as in MASS.
 
-Retrieval is exact and pruned by an upper bound, as in the UCR suite
-(Rakthanmanon et al., KDD 2012): with ``nfft >= 2L - 1`` every lag obeys
+Retrieval is exact and pruned by cascaded bounds, as in the UCR suite
+(Rakthanmanon et al., KDD 2012): a spectral bound, a float32 screen,
+then the float64 score.  With ``nfft >= 2L - 1`` every lag obeys
 ``|cc_k| <= (1/nfft) * sum_f w_f |Q_f| |C_f|`` over the rfft bins, ``w_f``
-1 at DC and Nyquist and 2 elsewhere.  :func:`best_candidates` scores rows
-best bound first, in index-sorted blocks (8 rows, doubling up to 64, so a
-best exists before many rows are scored), until the next bound is below
-(``<``, so ties are scored) the lowest best of the subsets asked for; each
-winner and score is bitwise the exhaustive one.
-The float32 bound's terms and sum over ``n`` bins round off by at most a
-relative ``(n + 2) * 2**-24`` (Higham, "Accuracy and Stability of
-Numerical Algorithms", ch. 4); it is raised by ``(n + 3) * 2**-20``, and
-by ``1e-9`` for a computed score's float64 FFT round-off, about
-``2**-53 * log2(nfft)``.
+1 at DC and Nyquist and 2 elsewhere.  :func:`best_candidates` screens
+rows best bound first, in index-sorted blocks (8 rows, so floors exist
+before many rows are screened, then 64 at a time), until the next bound
+is below (``<``, so ties are screened) the lowest floor of the subsets
+asked for.  The float32 bound's terms and sum over ``n`` bins round off
+by at most a relative ``(n + 2) * 2**-24`` (Higham, "Accuracy and
+Stability of Numerical Algorithms", ch. 4); it is raised by
+``(n + 3) * 2**-20``, and by ``1e-9`` for a computed score's float64 FFT
+round-off, about ``2**-53 * log2(nfft)``.
+
+The screen correlates a block's rows against ``fq / |q|`` in complex64
+(``irfft`` in float32), from each entry's conjugate spectrum over its
+norm, stored in complex64: a screen score ``s32``, the same two-range
+peak, within ``eps`` of the float64 score.  A subset's floor is its
+highest ``s32 - eps``, below its best score; a row whose ``s32 + eps``
+reaches none of its subsets' floors loses in each of them to the row
+that set the floor.  The rest are scored once, in index order, in
+float64 from their windows, so each winner and score is bitwise the
+exhaustive one.
+
+With ``u = 2**-24``, ``s32`` differs from the computed float64 score by
+at most the sum of
+  * ``6u`` times the row's bound, itself ``<= 1`` by Cauchy-Schwarz and
+    Parseval: rounding both unit-norm spectra to complex64 (``u`` each)
+    and their complex64 product (``2 sqrt(2) u``, Higham ch. 3) moves
+    each bin by at most ``5u |Q_f| |C_f| / (|q| |c|)``, and the irfft is
+    linear;
+  * ``log2(nfft) * eta * kappa_q`` for the float32 irfft itself, whose
+    error is at most ``log2(nfft) * eta`` times its output's 2-norm
+    (Higham ch. 24, ``eta = mu + gamma_4 (sqrt(2) + mu)``, below ``11u``
+    for twiddles accurate to ``u``), and that lag sequence's 2-norm is at
+    most ``kappa_q = max_f |Q_f| / |q|`` by Parseval;
+  * ``1e-9`` for the float64 score's own round-off, as above.
+``eps`` is that sum with the first two terms raised eightfold, for the
+real-input transform's extra passes.
 
 The lag tie rule (smaller ``|lag|``, then the negative lag) changes only
 which lag is reported, never a candidate's score, so it runs once, on
@@ -52,7 +78,7 @@ class SimilarityResult:
     candidate_index: int = -1
 
 
-# most rows of the pool correlated per block in best_candidates
+# rows per chunk of a pool's build, and per screened block after the first
 _CHUNK_ROWS = 64
 
 
@@ -80,9 +106,10 @@ class CandidatePool:
         return len(self.entries)
 
     def _arrays(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(window length, per-entry norms, per-entry series ids, complex
-        conjugates of the entries' ``_fft_size(width)``-point spectra,
-        float32 magnitudes of those spectra over the entries' norms)."""
+        """(window length, per-entry norms, per-entry series ids, complex64
+        conjugates of the entries' ``_fft_size(width)``-point spectra over
+        their norms, float32 magnitudes of those spectra over the norms),
+        built :data:`_CHUNK_ROWS` entries at a time."""
         if self._built is None:
             with self._lock:
                 if self._built is None:
@@ -91,21 +118,37 @@ class CandidatePool:
                         raise InconsistentWindowLengthError(
                             f"pool windows have mixed lengths {sorted(lengths)}"
                         )
-                    stack = np.ascontiguousarray(
-                        np.stack([e.input for e in self.entries]), dtype=np.float64
-                    )
-                    width = stack.shape[1]
-                    norms = np.linalg.norm(stack, axis=1)
+                    n = len(self.entries)
+                    width = lengths.pop() if lengths else 0
+                    nfft = _fft_size(width)
+                    norms = np.empty(n)
+                    spectra = np.empty((n, nfft // 2 + 1), dtype=np.complex64)
+                    mags = np.empty(spectra.shape, dtype=np.float32)
+                    for lo in range(0, n, _CHUNK_ROWS):
+                        hi = min(lo + _CHUNK_ROWS, n)
+                        _spectra_chunk(
+                            _stack(self.entries, range(lo, hi)), nfft,
+                            norms[lo:hi], spectra[lo:hi], mags[lo:hi],
+                        )
                     series_ids = np.array([e.series_id for e in self.entries])
-                    spectra = np.fft.rfft(stack, _fft_size(width), axis=1)
-                    del stack
-                    np.conj(spectra, out=spectra)
-                    # unit-norm magnitudes cannot overflow float32
-                    mags = np.abs(spectra)
-                    mags /= np.where(norms > 0.0, norms, 1.0)[:, None]
-                    mags = mags.astype(np.float32)
                     self._built = (width, norms, series_ids, spectra, mags)
         return self._built
+
+
+def _stack(entries: list[Window], rows) -> np.ndarray:
+    """The inputs of ``entries[rows]`` as one float64 matrix."""
+    return np.array([entries[i].input for i in rows], dtype=np.float64)
+
+
+def _spectra_chunk(stack, nfft, norms, spectra, mags) -> None:
+    """Fill ``norms``, ``spectra`` and ``mags`` (:meth:`CandidatePool._arrays`)
+    for the rows of ``stack``."""
+    norms[:] = np.linalg.norm(stack, axis=1)
+    spectrum = np.fft.rfft(stack, nfft, axis=1)
+    scale = np.where(norms > 0.0, norms, 1.0)[:, None]
+    # divided in float64, then cast: unit-norm values cannot overflow float32
+    np.divide(np.abs(spectrum), scale, out=mags)
+    np.divide(np.conj(spectrum, out=spectrum), scale, out=spectra)
 
 
 def _fft_size(length: int) -> int:
@@ -171,20 +214,52 @@ def _score_bounds(fq: np.ndarray, qnorm: float, mags: np.ndarray) -> np.ndarray:
     n = len(fq)
     weighted = np.abs(fq) / qnorm
     weighted[1:-1] *= 2.0  # every bin but DC and Nyquist has a conjugate twin
-    sums = (mags @ weighted.astype(np.float32)).astype(np.float64)
+    weighted = weighted.astype(np.float32)
+    # both operands are finite and >= 0, so an invalid flag from the float32
+    # BLAS mat-vec is spurious (seen once in ~25 runs of a 2 x 5 product)
+    with np.errstate(invalid="ignore"):
+        sums = (mags @ weighted).astype(np.float64)
     return sums * ((1.0 + (n + 3) * 2.0**-20) / (2 * (n - 1))) + 1e-9
 
 
-def _block_scores(fq, L, qnorm, spectra, norms, block) -> np.ndarray:
-    """Scores of the pool rows ``block`` against a length-``L`` query of
-    spectrum ``fq`` and norm ``qnorm``: each row's maximum
-    cross-correlation over all lags, divided by the two norms."""
+def _screen_query(fq: np.ndarray, qnorm: float) -> tuple[np.ndarray, float]:
+    """The complex64 ``fq / qnorm`` the screen correlates against, and the
+    screen's error bound ``eps`` (module docstring)."""
+    u = 2.0**-24
     nfft = 2 * (len(fq) - 1)
-    # circular lags 0..L-1 sit at the front, -(L-1)..-1 at the back
+    kappa_q = float(np.abs(fq).max()) / qnorm
+    eps = 8.0 * (6.0 * u + math.log2(nfft) * 11.0 * u * kappa_q) + 1e-9
+    return (fq / qnorm).astype(np.complex64), eps
+
+
+def _peaks(circ: np.ndarray, L: int) -> np.ndarray:
+    """Each row's maximum over the lags of a length-``L`` correlation:
+    circular lags 0..L-1 sit at the front, -(L-1)..-1 at the back, and the
+    zero-padding lags between them are overwritten with ``-inf``."""
+    circ[:, L : circ.shape[1] - L + 1] = -np.inf
+    return circ.max(axis=1)
+
+
+def _screen_scores(fq32, L, spectra, block) -> np.ndarray:
+    """Float32 estimates, within the screen's ``eps``, of the scores of the
+    pool rows ``block`` against a length-``L`` query of unit-norm complex64
+    spectrum ``fq32``; as float64, so that adding ``eps`` is not rounded
+    to float32."""
+    nfft = 2 * (len(fq32) - 1)
     prod = spectra[block]
+    circ = np.fft.irfft(np.multiply(fq32, prod, out=prod), nfft, axis=1)
+    return _peaks(circ, L).astype(np.float64)
+
+
+def _block_scores(fq, L, qnorm, entries, norms, block) -> np.ndarray:
+    """Scores of the pool rows ``block`` (of ``entries``) against a
+    length-``L`` query of spectrum ``fq`` and norm ``qnorm``: each row's
+    maximum cross-correlation over all lags, divided by the two norms."""
+    nfft = 2 * (len(fq) - 1)
+    prod = np.fft.rfft(_stack(entries, block), nfft, axis=1)
+    np.conj(prod, out=prod)
     circ = np.fft.irfft(np.multiply(fq, prod, out=prod), nfft, axis=1)
-    peaks = np.maximum(circ[:, :L].max(axis=1), circ[:, nfft - L + 1 :].max(axis=1))
-    return peaks / (qnorm * norms[block])
+    return _peaks(circ, L) / (qnorm * norms[block])
 
 
 def best_candidates(
@@ -196,7 +271,8 @@ def best_candidates(
     ``(index, score)`` of its highest-scoring usable entry, the lowest
     index on ties, or ``None`` when none is usable; entries from the
     query's own series and all-zero entries are unusable and never
-    correlated, nor are rows whose bound cannot win (module docstring).
+    correlated, nor are rows whose bound or float32 screen shows they
+    cannot win (module docstring).
     Raises the errors of :func:`retrieve_best` but the missing candidate.
     """
     if not pool.entries:
@@ -218,29 +294,40 @@ def best_candidates(
         member[j, idx] = True
     member &= (norms > 0.0) & (series_ids != query.series_id)
     live = member.any(axis=1)
-    best = np.full(len(subsets), -np.inf)
-    best_idx = np.full(len(subsets), -1)
     rows = np.flatnonzero(member.any(axis=0))
     fq = np.fft.rfft(q, _fft_size(L))
+    fq32, eps = _screen_query(fq, qnorm)
     bounds = _score_bounds(fq, qnorm, mags)[rows]
     order = np.argsort(-bounds, kind="stable")
     rows, bounds = rows[order], bounds[order]
-    lo, size = 0, 8  # rows in the first block; each later one doubles
+    # per subset, its highest s32 - eps so far: below its best score
+    floor = np.full(len(subsets), -np.inf)
+    blocks, screens = [], []
+    lo, size = 0, 8  # a small first block, so floors exist before most rows
     while lo < len(rows):
-        # bounds descend: the rows whose bound reaches the lowest best lead
-        n_open = np.count_nonzero(bounds[lo : lo + size] >= best[live].min())
+        # bounds descend: the rows whose bound reaches the lowest floor lead
+        n_open = np.count_nonzero(bounds[lo : lo + size] >= floor[live].min())
         if not n_open:
             break
         block = np.sort(rows[lo : lo + n_open])
-        lo, size = lo + size, min(2 * size, _CHUNK_ROWS)
-        block_scores = _block_scores(fq, L, qnorm, spectra, norms, block)
-        scores = np.where(member[:, block], block_scores, -np.inf)
-        k = scores.argmax(axis=1)
-        top = scores.max(axis=1)
-        better = (top > best) | ((top == best) & (block[k] < best_idx))
-        best = np.where(better, top, best)
-        best_idx = np.where(better, block[k], best_idx)
-    return [(int(i), float(s)) if i >= 0 else None for i, s in zip(best_idx, best)]
+        lo, size = lo + size, _CHUNK_ROWS
+        screened = _screen_scores(fq32, L, spectra, block)
+        raised = np.where(member[:, block], screened - eps, -np.inf).max(axis=1)
+        np.maximum(floor, raised, out=floor)
+        blocks.append(block)
+        screens.append(screened)
+    if not blocks:
+        return [None] * len(subsets)
+    block, screened = np.concatenate(blocks), np.concatenate(screens)
+    # a row can win a subset only if its screen + eps reaches the subset's floor
+    wins = (member[:, block] & (screened + eps >= floor[:, None])).any(axis=0)
+    block = np.sort(block[wins])
+    block_scores = _block_scores(fq, L, qnorm, pool.entries, norms, block)
+    scores = np.where(member[:, block], block_scores, -np.inf)
+    return [
+        (int(block[k]), float(row[k])) if row[k] > -np.inf else None
+        for row, k in zip(scores, scores.argmax(axis=1))
+    ]
 
 
 def retrieve_best(

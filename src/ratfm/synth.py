@@ -96,8 +96,8 @@ class SynthSpec:
             raise InvalidSpecError("need at least one domain and one series each")
         if self.train_len < 16 or self.test_len < 32:
             raise InvalidSpecError("train_len/test_len too short for a benchmark")
-        if self.noise_std < 0:
-            raise InvalidSpecError("noise_std must be >= 0")
+        if not math.isfinite(self.noise_std) or self.noise_std < 0:
+            raise InvalidSpecError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.seed < 0:
             raise InvalidSpecError("seed must be >= 0")
         lo, hi = self.anomaly_len

@@ -209,6 +209,26 @@ class TestRun:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists() and not out.parent.exists()
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_ridge_reg_exits_2(self, tmp_path, capsys, value):
+        # without the check, NaN reaches the solver and the run dies with
+        # "linear produced non-finite values" (exit 1)
+        cfg = write_config(tmp_path, ridge_reg=float(value))
+        assert value in cfg.read_text()
+        assert main(["run", "--setting", "ratfm_linear", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "ridge_reg must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_std_exits_2_and_creates_no_directory(
+        self, tmp_path, capsys, value
+    ):
+        # NaN would fail the "noise_std > 0" test and write noise-free series
+        out = tmp_path / "nansynth" / "ds"
+        assert main(["synth", "--out", str(out), f"--noise-std={value}"]) == 2
+        assert "noise_std must be finite" in capsys.readouterr().err
+        assert not out.exists() and not out.parent.exists()
+
     def test_bad_anomaly_len_exit_2(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "ds"),
                      "--anomaly-len", "banana"]) == 2

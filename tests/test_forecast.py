@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,24 @@ class TestTrainLinear:
         objective = float(np.sum((A @ expected - Y) ** 2) + reg * np.sum(expected**2))
         assert final_mse == pytest.approx(objective / len(train), rel=1e-9)
         assert fc.weights.shape == (2, dim + 1)
+
+    def test_regularizes_in_place_at_the_default_budget(self):
+        # 1121 features: the gram matrix is 10 MB; adding reg * eye(1121)
+        # to it would peak near twice that beside the design matrix
+        rng = np.random.default_rng(8)
+        budget = Budget(512, 96, 512)
+        train = [make_ctx(rng, budget) for _ in range(156)]
+        n_features = budget.total + 1
+        gram_bytes = n_features * n_features * 8
+        design_bytes = len(train) * n_features * 8
+        tracemalloc.start()
+        try:
+            fc, _ = train_linear(train, reg=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fc.weights.shape == (budget.horizon, n_features)
+        assert peak < 1.5 * gram_bytes + design_bytes
 
     def test_training_mse_bounds_context_average(self):
         rng = np.random.default_rng(7)

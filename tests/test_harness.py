@@ -476,22 +476,22 @@ class TestPrunedRetrieval:
 
     def test_bound_spares_most_usable_rows(self, monkeypatch):
         # periodic same-domain series: a query's best score is high, so few
-        # bounds reach it (about 23% of usable rows are correlated here)
+        # bounds reach it (about 7% of usable rows are screened here)
         cfg = config()
         data = prepare_run(cfg)
         correlated, usable = [0], [0]
-        real_block, real_best = retrieval._block_scores, retrieval.best_candidates
+        real_screen, real_best = retrieval._screen_scores, retrieval.best_candidates
 
-        def block_spy(*args):
+        def screen_spy(*args):
             correlated[0] += len(args[-1])
-            return real_block(*args)
+            return real_screen(*args)
 
         def best_spy(query, pool, subsets):
             _, norms, series_ids, _, _ = pool._arrays()
             usable[0] += int(np.sum((norms > 0) & (series_ids != query.series_id)))
             return real_best(query, pool, subsets)
 
-        monkeypatch.setattr(retrieval, "_block_scores", block_spy)
+        monkeypatch.setattr(retrieval, "_screen_scores", screen_spy)
         monkeypatch.setattr(harness, "best_candidates", best_spy)
         run_setting(cfg, "ratfm_linear", data=data)
         assert 0 < correlated[0] < usable[0] / 2

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,17 +259,37 @@ class TestRetrieveBestAcrossBlocks:
 
 
 def spy_blocks(monkeypatch):
-    """List of (query series id, rows, scores) per block ``best_candidates`` scores."""
-    blocks = []
-    real = retrieval._block_scores
+    """List of (rows, scores) per block ``best_candidates`` scores in float64."""
+    return _spy(monkeypatch, "_block_scores")
 
-    def spy(fq, L, qnorm, spectra, norms, block):
-        scores = real(fq, L, qnorm, spectra, norms, block)
-        blocks.append((block.copy(), scores))
+
+def spy_screens(monkeypatch):
+    """List of (rows, screen scores) per block ``best_candidates`` screens."""
+    return _spy(monkeypatch, "_screen_scores")
+
+
+def _spy(monkeypatch, name):
+    blocks = []
+    real = getattr(retrieval, name)
+
+    def spy(*args):
+        scores = real(*args)
+        blocks.append((args[-1].copy(), scores))
         return scores
 
-    monkeypatch.setattr(retrieval, "_block_scores", spy)
+    monkeypatch.setattr(retrieval, name, spy)
     return blocks
+
+
+def rows_of(blocks):
+    return np.concatenate([rows for rows, _ in blocks] or [np.array([], dtype=int)])
+
+
+def screen_eps(query):
+    q = np.asarray(query.input, dtype=np.float64)
+    return retrieval._screen_query(
+        np.fft.rfft(q, retrieval._fft_size(len(q))), float(np.linalg.norm(q))
+    )[1]
 
 
 class TestCandidateScores:
@@ -286,18 +307,23 @@ class TestCandidateScores:
         rng = np.random.default_rng(5)
         pool = self.grouped_pool(rng)
         blocks = spy_blocks(monkeypatch)
+        screens = spy_screens(monkeypatch)
         subsets = [np.arange(len(pool)), np.arange(0, len(pool), 3), np.arange(60, 80)]
         for _ in range(10):
             query = win("q", 0, rng.normal(size=40))
             full = exhaustive_scores(query, pool.entries)
             usable = full > -np.inf
             blocks.clear()
+            screens.clear()
             winners = best_candidates(query, pool, subsets)
-            assert blocks
+            assert blocks and screens
             for rows, scores in blocks:
                 assert np.all(usable[rows]) and np.all(np.diff(rows) > 0)
                 # every computed score is bitwise the all-rows one
                 assert np.array_equal(scores, full[rows])
+            for rows, screened in screens:
+                assert np.all(usable[rows]) and np.all(np.diff(rows) > 0)
+                assert np.all(np.abs(screened - full[rows]) <= screen_eps(query))
             for subset, won in zip(subsets, winners):
                 idx = exhaustive_best(full, subset)
                 assert won == (idx, full[idx])
@@ -309,28 +335,58 @@ class TestCandidateScores:
         rng = np.random.default_rng(6)
         pool = self.grouped_pool(rng)
         queries = [win("q", i, rng.normal(size=40)) for i in range(3)]
-        n_usable = sum(
-            e.series_id != "q" and np.any(e.input) for e in pool.entries
-        )
+        usable = {
+            i for i, e in enumerate(pool.entries) if e.series_id != "q" and np.any(e.input)
+        }
         retrieve_best(queries[0], pool)  # builds the pool's spectra
-        real_irfft = np.fft.irfft
-        rows = []
+        real_rfft, real_irfft = np.fft.rfft, np.fft.irfft
+        rows = {"rfft": 0, "1-d rfft": 0, "irfft32": 0, "irfft64": 0}
+
+        def counting_rfft(a, *args, **kwargs):
+            rows["rfft" if np.ndim(a) == 2 else "1-d rfft"] += len(np.atleast_2d(a))
+            return real_rfft(a, *args, **kwargs)
 
         def counting_irfft(a, *args, **kwargs):
-            rows.append(len(a) if np.ndim(a) == 2 else 1)
+            precision = "32" if a.dtype == np.complex64 else "64"
+            rows["irfft" + precision] += len(np.atleast_2d(a))
             return real_irfft(a, *args, **kwargs)
 
         blocks = spy_blocks(monkeypatch)
+        screens = spy_screens(monkeypatch)
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
         monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+        n_screened = n_scored = 0
         for q in queries:
-            rows.clear()
+            rows.update(dict.fromkeys(rows, 0))
             blocks.clear()
+            screens.clear()
             best_candidates(q, pool, [np.arange(len(pool))])
-            scored = np.concatenate([b for b, _ in blocks])
-            assert sum(rows) == len(scored) == len(set(scored)) <= n_usable
-            rows.clear()
+            screened, scored = rows_of(screens), rows_of(blocks)
+            # no row is screened twice or scored twice, none is unusable,
+            # and float64 work goes only to screened rows, in one block
+            assert len(set(screened)) == len(screened) <= len(usable)
+            assert len(blocks) == 1 and len(set(scored)) == len(scored)
+            assert set(scored) <= set(screened) <= usable
+            # the screen's rows are its float32 irfft's; the scored rows
+            # are the float64 rfft's and irfft's, besides the query's rfft
+            assert rows == {
+                "rfft": len(scored),
+                "1-d rfft": 1,
+                "irfft32": len(screened),
+                "irfft64": len(scored),
+            }
+            n_screened, n_scored = n_screened + len(screened), n_scored + len(scored)
+            rows.update(dict.fromkeys(rows, 0))
             retrieve_best(q, pool)
-            assert sum(rows) == len(scored) + 1
+            # plus ncc_max on the winner: both rffts and one irfft row
+            assert rows == {
+                "rfft": len(scored),
+                "1-d rfft": 3,
+                "irfft32": len(screened),
+                "irfft64": len(scored) + 1,
+            }
+        # random windows score low, so many bounds pass but few screens do
+        assert n_scored < n_screened / 2
 
     def test_first_block_is_small_when_the_top_bound_wins(self, monkeypatch):
         # one row has the query's shape (score 1, the highest bound); the
@@ -347,10 +403,38 @@ class TestCandidateScores:
         bounds = retrieval._score_bounds(fq, float(np.linalg.norm(q)), mags)
         assert int(np.argmax(bounds)) == 150
         blocks = spy_blocks(monkeypatch)
+        screens = spy_screens(monkeypatch)
         ((idx, score),) = best_candidates(query, pool, [np.arange(len(pool))])
         assert idx == 150
-        scored = sum(len(rows) for rows, _ in blocks)
-        assert scored <= 8 + np.count_nonzero(bounds >= score)
+        correlated = set(rows_of(blocks)) | set(rows_of(screens))
+        assert len(correlated) <= 8 + np.count_nonzero(bounds >= score)
+
+    def test_winners_survive_any_screen_within_eps(self, monkeypatch):
+        # shifted copies of the query under noise far below eps: their
+        # scores are near-ties the screen cannot order, so a screen that is
+        # off by almost eps against every winner must still keep them
+        rng = np.random.default_rng(12)
+        L = 48
+        shape = np.sin(2 * np.pi * np.arange(L) / 11.0)
+        query = win("q", 0, shape + 1e-3 * rng.normal(size=L))
+        entries = [
+            win(f"c{i % 4}", i, np.roll(shape, i % 3) + 1e-3 * rng.normal(size=L))
+            for i in range(300)
+        ]
+        pool = CandidatePool(domain="d", entries=entries)
+        full = exhaustive_scores(query, entries)
+        subsets = [np.arange(300), subsample_indices(300, 0.5, 3), np.arange(7, 300, 5)]
+        winners = [exhaustive_best(full, subset) for subset in subsets]
+        eps = screen_eps(query)
+        assert np.count_nonzero(full >= full[winners[0]] - eps) > 10
+        push = (1.0 - 1e-6) * eps
+
+        def adversary(fq32, L, spectra, block):
+            return full[block] + np.where(np.isin(block, winners), -push, push)
+
+        monkeypatch.setattr(retrieval, "_screen_scores", adversary)
+        got = best_candidates(query, pool, subsets)
+        assert got == [(i, full[i]) for i in winners]
 
     def test_best_candidate_lowest_index_and_no_usable_row(self):
         rng = np.random.default_rng(7)
@@ -383,11 +467,12 @@ class TestCandidateScores:
             domain="d", entries=[win("q", 0, np.ones(4)), win("o", 0, np.zeros(4))]
         )
         blocks = spy_blocks(monkeypatch)
+        screens = spy_screens(monkeypatch)
         query = win("q", 1, np.ones(4))
         with pytest.raises(EmptyPoolError, match="domain 'd' has no candidate outside"):
             retrieve_best(query, pool)
         assert best_candidates(query, pool, [np.arange(2), [1]]) == [None, None]
-        assert blocks == []
+        assert blocks == [] and screens == []
 
 
 # windows of one length: random, scaled, offset and exactly duplicated
@@ -409,9 +494,8 @@ _POOL_CASES = st.integers(2, 48).flatmap(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(_POOL_CASES)
-def test_stored_bound_covers_every_usable_score(case):
+def pool_case(case):
+    """The query and pool entries a ``_POOL_CASES`` example describes."""
     L, kinds, seed, magnitude = case
     rng = np.random.default_rng(seed)
     query = win("q", 0, magnitude * rng.normal(size=L))
@@ -427,33 +511,57 @@ def test_stored_bound_covers_every_usable_score(case):
             "zero": np.zeros(L),
         }[kind]
         entries.append(win(f"s{i % 3}", i, row))
+    return query, entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POOL_CASES)
+def test_stored_bound_covers_every_usable_score(case):
+    query, entries = pool_case(case)
     pool = CandidatePool(domain="d", entries=entries)
     mags = pool._arrays()[4]
     q = np.asarray(query.input, dtype=np.float64)
-    fq = np.fft.rfft(q, retrieval._fft_size(L))
+    fq = np.fft.rfft(q, retrieval._fft_size(len(q)))
     bounds = retrieval._score_bounds(fq, float(np.linalg.norm(q)), mags)
     scores = exhaustive_scores(query, entries)
     usable = scores > -np.inf
     assert np.all(bounds[usable] >= scores[usable])
 
 
+@settings(max_examples=150, deadline=None)
+@given(_POOL_CASES)
+def test_screen_is_within_eps_of_every_usable_score(case):
+    query, entries = pool_case(case)
+    pool = CandidatePool(domain="d", entries=entries)
+    spectra = pool._arrays()[3]
+    q = np.asarray(query.input, dtype=np.float64)
+    fq = np.fft.rfft(q, retrieval._fft_size(len(q)))
+    fq32, eps = retrieval._screen_query(fq, float(np.linalg.norm(q)))
+    scores = exhaustive_scores(query, entries)
+    rows = np.flatnonzero(scores > -np.inf)
+    screened = retrieval._screen_scores(fq32, len(q), spectra, rows)
+    assert np.all(np.abs(screened - scores[rows]) <= eps)
+
+
 def test_concurrent_first_touch_builds_spectra_once(monkeypatch):
     rng = np.random.default_rng(31)
+    n_rows = _CHUNK_ROWS + 36
     pool = CandidatePool(
-        domain="d", entries=[win(f"c{i}", i, rng.normal(size=32)) for i in range(40)]
+        domain="d", entries=[win(f"c{i}", i, rng.normal(size=32)) for i in range(n_rows)]
     )
     n_threads = 4  # more threads than the CPUs of a small test host
     queries = [win("q", i, rng.normal(size=32)) for i in range(n_threads)]
-    real_rfft = np.fft.rfft
-    pool_builds = []
+    real_chunk = retrieval._spectra_chunk
+    chunks_built = []
 
-    def slow_rfft(a, *args, **kwargs):
-        if np.ndim(a) == 2:  # the pool's spectra, not a query's
-            pool_builds.append(1)
-            time.sleep(0.05)  # widen the window in which a second build could start
-        return real_rfft(a, *args, **kwargs)
+    def slow_chunk(stack, *args):
+        chunks_built.append(len(stack))
+        time.sleep(0.05)  # widen the window in which a second build could start
+        return real_chunk(stack, *args)
 
-    monkeypatch.setattr(np.fft, "rfft", slow_rfft)
+    monkeypatch.setattr(retrieval, "_spectra_chunk", slow_chunk)
+    screens = spy_screens(monkeypatch)
+    blocks = spy_blocks(monkeypatch)
     start = threading.Barrier(n_threads)
     results = [None] * n_threads
 
@@ -472,9 +580,44 @@ def test_concurrent_first_touch_builds_spectra_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(pool_builds) == 1
+    # one build, in two chunks, for the four queries
+    assert chunks_built == [_CHUNK_ROWS, 36]
+
+    def stage_rows():
+        return [sorted(tuple(rows) for rows, _ in stage) for stage in (screens, blocks)]
+
+    # each query screens and scores the same rows again on the built pool
+    racing = stage_rows()
+    assert all(racing)
+    screens.clear()
+    blocks.clear()
     for k in range(n_threads):
         assert results[k] == retrieve_best(queries[k], pool)[1]
+    assert stage_rows() == racing
+    assert len(chunks_built) == 2
+
+
+def test_pool_build_peaks_near_its_stored_arrays():
+    # 4096 windows of 512 points, 8 apart in one series; a whole-pool
+    # float64 stack and complex128 spectrum would add about 24 MB
+    L, n, stride = 512, 4096, 8
+    x = np.random.default_rng(41).normal(size=n * stride + L)
+    entries = [win(f"s{i // 1000}", i, x[i * stride : i * stride + L]) for i in range(n)]
+    pool = CandidatePool(domain="d", entries=entries)
+    tracemalloc.start()
+    try:
+        built = pool._arrays()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    width, norms, series_ids, spectra, mags = built
+    nbins = retrieval._fft_size(L) // 2 + 1
+    stored = norms.nbytes + series_ids.nbytes + spectra.nbytes + mags.nbytes
+    chunk = _CHUNK_ROWS * nbins * np.dtype(np.complex128).itemsize
+    assert peak <= stored + 4 * chunk
+    # 12 bytes per pool row and bin: complex64 spectra, float32 magnitudes
+    assert spectra.shape == mags.shape == (n, nbins)
+    assert (spectra.dtype, mags.dtype) == (np.complex64, np.float32)
 
 
 class TestSubsample:
