@@ -44,6 +44,7 @@ def sma_trailing(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+# No library code calls this; perfbench/selftest.py deletes and restores it.
 def best_lag_batch(cc: np.ndarray) -> np.ndarray:
     """Per row of a (rows, lags) matrix, the index of its maximal entry.
 

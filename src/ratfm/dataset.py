@@ -266,7 +266,7 @@ def load_dataset(root: str | Path, pattern: str = "*.txt") -> list[LabeledSeries
 
 
 def dump_metadata(series_list: list[LabeledSeries], path: str | Path) -> None:
-    """Write parsed metadata (no values) as JSON, for golden tests."""
+    """Write parsed metadata (no values) as JSON, making missing parent dirs."""
     meta = [
         {
             "id": s.id,
@@ -278,4 +278,6 @@ def dump_metadata(series_list: list[LabeledSeries], path: str | Path) -> None:
         }
         for s in series_list
     ]
-    Path(path).write_text(json.dumps({"series": meta}, indent=2, sort_keys=True) + "\n")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"series": meta}, indent=2, sort_keys=True) + "\n")

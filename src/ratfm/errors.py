@@ -61,7 +61,7 @@ class InconsistentWindowLengthError(RatfmError):
 
 
 class InvalidFractionError(ConfigError):
-    """Subsampling fraction outside (0, 1], or repeated in a sweep."""
+    """Subsampling fraction outside (0, 1], repeated in a sweep, or none given."""
 
 
 # forecast

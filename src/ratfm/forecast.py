@@ -183,8 +183,8 @@ class LinearForecaster(Forecaster):
     mode = "ratfm"
 
     def __init__(self, weights: np.ndarray, budget: Budget):
-        # contiguous layout keeps matvec results identical across
-        # save/load round trips
+        # train_linear passes the solve's transpose; C order fixes the
+        # layout, and so the summation order, of the forecast's mat-vec
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         expected = (budget.horizon, budget.total + 1)
         if weights.shape != expected:

@@ -547,7 +547,9 @@ class SweepResult:
 
 
 def _check_fractions(fractions) -> None:
-    """Each fraction lies in (0, 1] and appears once."""
+    """At least one fraction is given; each lies in (0, 1] and appears once."""
+    if not fractions:
+        raise InvalidFractionError("fractions must not be empty")
     seen = set()
     for f in fractions:
         if not 0.0 < f <= 1.0:

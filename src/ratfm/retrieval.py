@@ -44,10 +44,6 @@ at most the sum of
   * ``1e-9`` for the float64 score's own round-off, as above.
 ``eps`` is that sum with the first two terms raised eightfold, for the
 real-input transform's extra passes.
-
-The lag tie rule (smaller ``|lag|``, then the negative lag) changes only
-which lag is reported, never a candidate's score, so it runs once, on
-the winner's row.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .dataset import Window
 from .errors import (
     EmptyPoolError,
@@ -71,10 +66,9 @@ from .errors import (
 
 @dataclass(frozen=True)
 class SimilarityResult:
-    """Similarity score in [-1, 1] with the lag and pool index it came from."""
+    """Similarity score in [-1, 1] and the pool index it came from."""
 
     score: float
-    best_lag: int
     candidate_index: int = -1
 
 
@@ -155,29 +149,15 @@ def _fft_size(length: int) -> int:
     return 1 << max(2 * length - 1, 1).bit_length()
 
 
-def _cc_sequence(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Zero-padded cross-correlation, ordered from lag -(L-1) to +(L-1).
-
-    Entry for lag k equals ``sum_t x[t + k] * y[t]`` over the valid
-    overlap.
-    """
-    L = len(x)
-    nfft = _fft_size(L)
-    fx = np.fft.rfft(x, nfft)
-    fy = np.fft.rfft(y, nfft)
-    circ = np.fft.irfft(fx * np.conj(fy), nfft)
-    return np.concatenate((circ[nfft - L + 1 :], circ[:L]))
-
-
 def ncc_max(
     x: np.ndarray, y: np.ndarray, *, lag_zero_only: bool = False
 ) -> SimilarityResult:
     """Maximum normalized cross-correlation between two vectors.
 
-    Ties between lags are broken toward the smaller ``|lag|``, then the
-    negative lag, so results are deterministic.  With ``lag_zero_only``
-    the search is skipped and only the aligned correlation is returned.
-    The score is clipped to [-1, 1] to absorb FFT round-off.
+    The maximum is over every lag of the zero-padded correlation, the
+    peak :func:`_block_scores` takes; with ``lag_zero_only`` it is the
+    aligned correlation alone.  The score is clipped to [-1, 1] to absorb
+    FFT round-off.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -190,13 +170,11 @@ def ncc_max(
         raise ZeroNormVectorError("similarity undefined for an all-zero vector")
     if lag_zero_only:
         score = float(np.dot(x, y)) / denom
-        return SimilarityResult(score=float(np.clip(score, -1.0, 1.0)), best_lag=0)
-    cc = _cc_sequence(x, y)
-    j = int(_kernels.best_lag_batch(cc[None])[0])
-    score = cc[j] / denom
-    return SimilarityResult(
-        score=float(np.clip(score, -1.0, 1.0)), best_lag=j - (len(x) - 1)
-    )
+    else:
+        nfft = _fft_size(len(x))
+        circ = np.fft.irfft(np.fft.rfft(x, nfft) * np.conj(np.fft.rfft(y, nfft)), nfft)
+        score = _peaks(circ[None], len(x))[0] / denom
+    return SimilarityResult(score=float(np.clip(score, -1.0, 1.0)))
 
 
 def no_candidate(query: Window, pool: CandidatePool) -> EmptyPoolError:
@@ -337,21 +315,13 @@ def retrieve_best(
 
     The winner is :func:`best_candidates`' over the whole pool: entries
     from the query's own series and all-zero entries are skipped, and
-    ties between candidates go to the lowest pool index.  The reported
-    lag is :func:`ncc_max`'s for the winner alone, since its lag tie
-    rule never changes a score.
+    ties between candidates go to the lowest pool index.
     """
     (won,) = best_candidates(query, pool, [np.arange(len(pool))])
     if won is None:
         raise no_candidate(query, pool)
     idx, score = won
-    winner = pool.entries[idx]
-    result = SimilarityResult(
-        score=float(np.clip(score, -1.0, 1.0)),
-        best_lag=ncc_max(query.input, winner.input).best_lag,
-        candidate_index=idx,
-    )
-    return winner, result
+    return pool.entries[idx], SimilarityResult(float(np.clip(score, -1.0, 1.0)), idx)
 
 
 def subsample_indices(n: int, fraction: float, seed: int) -> np.ndarray:

@@ -47,6 +47,14 @@ class TestSynthIngest:
         parsed = json.loads(meta.read_text())
         assert len(parsed["series"]) == 4
 
+    def test_ingest_out_creates_missing_directories(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["synth", "--out", str(ds), "--domains", "1",
+                     "--series-per-domain", "2", "--seed", "3"]) == 0
+        meta = tmp_path / "no" / "such" / "meta.json"
+        assert main(["ingest", str(ds), "--out", str(meta)]) == 0
+        assert len(json.loads(meta.read_text())["series"]) == 2
+
     def test_ingest_missing_dataset(self, tmp_path):
         assert main(["ingest", str(tmp_path / "nothing")]) == 3
 
@@ -245,19 +253,26 @@ class TestSweepAndDiag:
         assert lines[0] == "fraction,domain,vus_roc,n_series"
         assert len(lines) == 1 + 2 * 2
 
-    @pytest.mark.parametrize("where", ["--fractions", "config fractions"])
+    @pytest.mark.parametrize("where", ["--fractions", "config fractions",
+                                       "empty config fractions"])
     def test_repeated_fraction_exits_2(self, tmp_path, capsys, where):
+        # an empty list is rejected too, rather than writing a header-only table
         out = tmp_path / "out"
         if where == "--fractions":
             cfg = write_config(tmp_path, bootstrap_iterations=0)
             argv = ["sweep", "--config", str(cfg), "--out", str(out),
                     "--fractions", "0.5,1.0,0.50"]
         else:
-            cfg = write_config(tmp_path, bootstrap_iterations=0, fractions=[1.0, 0.5, 1])
+            fractions = [] if where.startswith("empty") else [1.0, 0.5, 1]
+            cfg = write_config(tmp_path, bootstrap_iterations=0, fractions=fractions)
             argv = ["sweep", "--config", str(cfg), "--out", str(out)]
         assert main(argv) == 2
-        repeated = "0.5" if where == "--fractions" else "1"
-        assert f"fraction {repeated}" in capsys.readouterr().err
+        message = {
+            "--fractions": "fraction 0.5 is repeated",
+            "config fractions": "fraction 1 is repeated",
+            "empty config fractions": "fractions must not be empty",
+        }[where]
+        assert message in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
     def test_diag_similarity(self, tmp_path, capsys):
