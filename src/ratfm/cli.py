@@ -64,21 +64,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config:
+    if args.config is not None:
         config = ExperimentConfig.from_json(args.config)
-    elif args.dataset:
+    elif args.dataset is not None:
         config = ExperimentConfig(dataset_root=args.dataset)
     else:
         raise ConfigError("provide --config or --dataset")
     overrides = {}
-    if args.dataset and args.config:
+    if args.dataset is not None and args.config is not None:
         overrides["dataset_root"] = args.dataset
         overrides["synth"] = None
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.out:
+    if args.out is not None:
         overrides["out_dir"] = args.out
-    if args.budget:
+    if args.budget is not None:
         overrides["budget"] = _parse_budget(args.budget)
     if args.no_sma:
         overrides["sma"] = False
@@ -99,7 +99,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     print(f"parsed {len(series)} series across {len(domains)} domains")
     for dom in sorted(domains):
         print(f"  {dom}: {domains[dom]} series")
-    if args.out:
+    if args.out is not None:
         dump_metadata(series, args.out)
         print(f"metadata written to {args.out}")
     return EXIT_OK
@@ -114,9 +114,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         "noise_std": args.noise_std,
         "seed": args.seed if args.seed is not None else 0,
     }
-    if args.anomaly_kinds:
+    if args.anomaly_kinds is not None:
         raw["anomaly_kinds"] = tuple(args.anomaly_kinds.split(","))
-    if args.anomaly_len:
+    if args.anomaly_len is not None:
         try:
             lo, hi = (int(v) for v in args.anomaly_len.split(","))
         except ValueError as exc:
@@ -145,7 +145,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    fractions = _parse_fractions(args.fractions) if args.fractions else None
+    fractions = None if args.fractions is None else _parse_fractions(args.fractions)
     result = sweep_pool_fraction(config, fractions, setting=args.setting)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -230,6 +230,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # an empty path would name the working directory
+        for name in ("--config", "--dataset", "--out", "root"):
+            if getattr(args, name.lstrip("-"), None) == "":
+                raise ConfigError(f"{name} must not be empty")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -243,8 +243,8 @@ def make_windows(
     return windows
 
 
-def load_dataset(root: str | Path, pattern: str = "*.txt") -> list[LabeledSeries]:
-    """Parse every matching file under ``root``, sorted by path.
+def load_dataset(root: str | Path) -> list[LabeledSeries]:
+    """Parse every ``*.txt`` file under ``root``, sorted by path.
 
     A missing root is an error; an existing directory with no matching
     files yields an empty list (callers decide whether that is fatal).
@@ -254,7 +254,7 @@ def load_dataset(root: str | Path, pattern: str = "*.txt") -> list[LabeledSeries
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"dataset root {root} is not a directory")
-    series = [parse_ucr_file(p) for p in sorted(root.rglob(pattern)) if p.is_file()]
+    series = [parse_ucr_file(p) for p in sorted(root.rglob("*.txt")) if p.is_file()]
     paths: dict[str, str] = {}
     for s in series:
         if s.id in paths:

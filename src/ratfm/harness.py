@@ -51,10 +51,9 @@ from .retrieval import (
     ncc_max,
     no_candidate,
     subsample_indices,
-    subsample_pool,
 )
-# unused here, but perfbench/tracer.py wraps ratfm.harness.retrieve_best
-from .retrieval import retrieve_best  # noqa: F401
+# unused here, but perfbench/tracer.py wraps both names in ratfm.harness
+from .retrieval import retrieve_best, subsample_pool  # noqa: F401
 from .scoring import (
     anomaly_scores,
     dump_scores_csv,
@@ -187,7 +186,8 @@ class PreparedRun:
 
     ``pools`` is keyed by domain and filled by :func:`_domain_pool`, which
     cuts a domain's pool with the config of the first retrieval that needs
-    it; every caller passes the config that prepared the run.
+    it and builds its arrays then, under ``_lock``; every caller passes
+    the config that prepared the run.
     ``_examples`` holds each series' windows and, per pool fraction,
     their retrieved examples, filled lazily by :func:`_retrieved` so
     that every retrieval consumer of the run cuts a series' windows and
@@ -242,9 +242,10 @@ def prepare_run(config: ExperimentConfig) -> PreparedRun:
 def _domain_pool(
     config: ExperimentConfig, data: PreparedRun, domain: str
 ) -> CandidatePool:
-    """``domain``'s pool, cut once per run: each of its series' windows in
-    load order, from the train region and, for ``retrieval_region="full"``,
-    the test region, subsampled to ``config.pool_fraction``."""
+    """``domain``'s pool, cut and built once per run, under the run's lock:
+    each of its series' windows in load order, from the train region and,
+    for ``retrieval_region="full"``, the test region, subsampled to
+    ``config.pool_fraction`` before the pool's arrays are built."""
     with data._lock:
         if domain in data.pools:
             return data.pools[domain]
@@ -257,11 +258,11 @@ def _domain_pool(
             if s.domain == domain:
                 for region in regions:
                     wins += make_windows(s, region, te, h, stride)
-        pool = CandidatePool(domain=domain, entries=wins, seed=config.seed)
-        if config.pool_fraction < 1.0:
-            pool = subsample_pool(pool, config.pool_fraction, config.seed)
-        data.pools[domain] = pool
-        return pool
+        kept = subsample_indices(len(wins), config.pool_fraction, config.seed)
+        data.pools[domain] = CandidatePool(
+            domain, [wins[i] for i in kept], config.pool_fraction, config.seed
+        )
+        return data.pools[domain]
 
 
 def _retrieval_query(window: Window, example_len: int) -> Window:

@@ -49,8 +49,7 @@ real-input transform's extra passes.
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,66 +82,50 @@ class CandidatePool:
     Entries typically come from the training regions of series other
     than the query's; windows from the query's own series are excluded
     at retrieval time.  ``fraction`` and ``seed`` record how the pool
-    was subsampled.  The pool's arrays are built on first use, once even
-    when several threads query at once.
+    was subsampled.  The constructor stores the window length ``width``
+    and, per entry, its norm (``norms``), its series id (``series_ids``),
+    the complex64 conjugate of its ``_fft_size(width)``-point spectrum
+    over its norm (``spectra``) and the float32 magnitude of that
+    spectrum over the norm (``mags``), built :data:`_CHUNK_ROWS` entries
+    at a time.
     """
 
     domain: str
     entries: list[Window]
     fraction: float = 1.0
     seed: int = 0
-    _built: tuple | None = field(default=None, repr=False, compare=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+
+    def __post_init__(self) -> None:
+        lengths = {len(e.input) for e in self.entries}
+        if len(lengths) > 1:
+            raise InconsistentWindowLengthError(
+                f"pool windows have mixed lengths {sorted(lengths)}"
+            )
+        n = len(self.entries)
+        self.width = lengths.pop() if lengths else 0
+        nfft = _fft_size(self.width)
+        self.norms = np.empty(n)
+        self.spectra = np.empty((n, nfft // 2 + 1), dtype=np.complex64)
+        self.mags = np.empty(self.spectra.shape, dtype=np.float32)
+        for lo in range(0, n, _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            stack = _stack(self.entries, range(n)[rows])
+            norms = self.norms[rows]
+            norms[:] = np.linalg.norm(stack, axis=1)
+            spectrum = np.fft.rfft(stack, nfft, axis=1)
+            scale = np.where(norms > 0.0, norms, 1.0)[:, None]
+            # divided in float64, then cast: unit-norm values cannot overflow float32
+            np.divide(np.abs(spectrum), scale, out=self.mags[rows])
+            np.divide(np.conj(spectrum, out=spectrum), scale, out=self.spectra[rows])
+        self.series_ids = np.array([e.series_id for e in self.entries])
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def _arrays(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(window length, per-entry norms, per-entry series ids, complex64
-        conjugates of the entries' ``_fft_size(width)``-point spectra over
-        their norms, float32 magnitudes of those spectra over the norms),
-        built :data:`_CHUNK_ROWS` entries at a time."""
-        if self._built is None:
-            with self._lock:
-                if self._built is None:
-                    lengths = {len(e.input) for e in self.entries}
-                    if len(lengths) > 1:
-                        raise InconsistentWindowLengthError(
-                            f"pool windows have mixed lengths {sorted(lengths)}"
-                        )
-                    n = len(self.entries)
-                    width = lengths.pop() if lengths else 0
-                    nfft = _fft_size(width)
-                    norms = np.empty(n)
-                    spectra = np.empty((n, nfft // 2 + 1), dtype=np.complex64)
-                    mags = np.empty(spectra.shape, dtype=np.float32)
-                    for lo in range(0, n, _CHUNK_ROWS):
-                        hi = min(lo + _CHUNK_ROWS, n)
-                        _spectra_chunk(
-                            _stack(self.entries, range(lo, hi)), nfft,
-                            norms[lo:hi], spectra[lo:hi], mags[lo:hi],
-                        )
-                    series_ids = np.array([e.series_id for e in self.entries])
-                    self._built = (width, norms, series_ids, spectra, mags)
-        return self._built
 
 
 def _stack(entries: list[Window], rows) -> np.ndarray:
     """The inputs of ``entries[rows]`` as one float64 matrix."""
     return np.array([entries[i].input for i in rows], dtype=np.float64)
-
-
-def _spectra_chunk(stack, nfft, norms, spectra, mags) -> None:
-    """Fill ``norms``, ``spectra`` and ``mags`` (:meth:`CandidatePool._arrays`)
-    for the rows of ``stack``."""
-    norms[:] = np.linalg.norm(stack, axis=1)
-    spectrum = np.fft.rfft(stack, nfft, axis=1)
-    scale = np.where(norms > 0.0, norms, 1.0)[:, None]
-    # divided in float64, then cast: unit-norm values cannot overflow float32
-    np.divide(np.abs(spectrum), scale, out=mags)
-    np.divide(np.conj(spectrum, out=spectrum), scale, out=spectra)
 
 
 def _fft_size(length: int) -> int:
@@ -257,25 +240,24 @@ def best_candidates(
         raise EmptyPoolError(f"pool for domain {pool.domain!r} is empty")
     q = np.asarray(query.input, dtype=np.float64)
     L = len(q)
-    width, norms, series_ids, spectra, mags = pool._arrays()
-    if width != L:
+    if pool.width != L:
         raise InconsistentWindowLengthError(
-            f"pool windows have length {width}, query has {L}"
+            f"pool windows have length {pool.width}, query has {L}"
         )
     if L < 2:
         raise LengthMismatchError("query input must have length >= 2")
     qnorm = float(np.linalg.norm(q))
     if qnorm == 0.0:
         raise ZeroNormVectorError("query window is all-zero")
-    member = np.zeros((len(subsets), len(norms)), dtype=bool)
+    member = np.zeros((len(subsets), len(pool)), dtype=bool)
     for j, idx in enumerate(subsets):
         member[j, idx] = True
-    member &= (norms > 0.0) & (series_ids != query.series_id)
+    member &= (pool.norms > 0.0) & (pool.series_ids != query.series_id)
     live = member.any(axis=1)
     rows = np.flatnonzero(member.any(axis=0))
     fq = np.fft.rfft(q, _fft_size(L))
     fq32, eps = _screen_query(fq, qnorm)
-    bounds = _score_bounds(fq, qnorm, mags)[rows]
+    bounds = _score_bounds(fq, qnorm, pool.mags)[rows]
     order = np.argsort(-bounds, kind="stable")
     rows, bounds = rows[order], bounds[order]
     # per subset, its highest s32 - eps so far: below its best score
@@ -289,7 +271,7 @@ def best_candidates(
             break
         block = np.sort(rows[lo : lo + n_open])
         lo, size = lo + size, _CHUNK_ROWS
-        screened = _screen_scores(fq32, L, spectra, block)
+        screened = _screen_scores(fq32, L, pool.spectra, block)
         raised = np.where(member[:, block], screened - eps, -np.inf).max(axis=1)
         np.maximum(floor, raised, out=floor)
         blocks.append(block)
@@ -300,7 +282,7 @@ def best_candidates(
     # a row can win a subset only if its screen + eps reaches the subset's floor
     wins = (member[:, block] & (screened + eps >= floor[:, None])).any(axis=0)
     block = np.sort(block[wins])
-    block_scores = _block_scores(fq, L, qnorm, pool.entries, norms, block)
+    block_scores = _block_scores(fq, L, qnorm, pool.entries, pool.norms, block)
     scores = np.where(member[:, block], block_scores, -np.inf)
     return [
         (int(block[k]), float(row[k])) if row[k] > -np.inf else None

@@ -56,20 +56,16 @@ def anomaly_scores(forecast: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return np.abs(forecast - truth)
 
 
-def estimate_period(
-    train_values: np.ndarray,
-    *,
-    dominance_threshold: float = DEFAULT_DOMINANCE_THRESHOLD,
-    fallback_period: int = DEFAULT_FALLBACK_PERIOD,
-) -> PeriodEstimate:
+def estimate_period(train_values: np.ndarray) -> PeriodEstimate:
     """Dominant period of a signal from its Fourier magnitude spectrum.
 
     The peak bin of the mean-removed spectrum is refined by a fine
     frequency grid around it (a true sinusoid's period need not divide
     the signal length, so the integer bin alone can be off by one) and
     converted to ``round(N / f)``, clamped to [2, N // 2].  A peak whose
-    magnitude is below ``dominance_threshold`` times the mean magnitude
-    marks the signal as aperiodic and falls back to ``fallback_period``.
+    magnitude is below :data:`DEFAULT_DOMINANCE_THRESHOLD` times the mean
+    magnitude marks the signal as aperiodic and falls back to
+    :data:`DEFAULT_FALLBACK_PERIOD`.
     """
     x = np.asarray(train_values, dtype=np.float64)
     n = len(x)
@@ -81,13 +77,13 @@ def estimate_period(
     scale = max(1.0, float(np.abs(x).max()))
     if band.max() <= 1e-12 * scale * n:
         return PeriodEstimate(
-            period=fallback_period, dominance=0.0, fallback_used=True
+            period=DEFAULT_FALLBACK_PERIOD, dominance=0.0, fallback_used=True
         )
     k_star = 1 + int(np.argmax(band))
     dominance = float(band[k_star - 1] / band.mean())
-    if dominance < dominance_threshold:
+    if dominance < DEFAULT_DOMINANCE_THRESHOLD:
         return PeriodEstimate(
-            period=fallback_period, dominance=dominance, fallback_used=True
+            period=DEFAULT_FALLBACK_PERIOD, dominance=dominance, fallback_used=True
         )
     freq = _refine_peak(centered, k_star)
     period = int(round(n / freq))

@@ -241,6 +241,30 @@ class TestRun:
         assert main(["synth", "--out", str(tmp_path / "ds"),
                      "--anomaly-len", "banana"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--config", "config.json", "--out", "out", "--fractions", ""],
+        ["run", "--setting", "zero_shot_naive", "--config", "config.json",
+         "--out", "out", "--budget", ""],
+        ["run", "--setting", "zero_shot_naive", "--config", "config.json", "--out", ""],
+        ["run", "--setting", "zero_shot_naive", "--config", "config.json",
+         "--out", "out", "--dataset", ""],
+        ["synth", "--out", "out", "--anomaly-kinds", ""],
+        ["synth", "--out", "out", "--anomaly-len", ""],
+        ["synth", "--out", ""],
+        ["ingest", "data", "--out", ""],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_empty_flag_exits_2_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        # an empty value is not an absent flag: it must not fall back to the
+        # default (four fractions, 512/96/512, ratfm_out/, every anomaly
+        # kind) or to the working directory
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, bootstrap_iterations=0)
+        assert main(argv) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
 
 class TestSweepAndDiag:
     def test_sweep_csv(self, tmp_path, capsys):

@@ -296,6 +296,14 @@ class TestLazyPools:
             return real(series, region, *args)
 
         monkeypatch.setattr(harness, "make_windows", slow)
+        built = []
+        real_pool = harness.CandidatePool
+
+        def counted_pool(pool_domain, *args):
+            built.append(pool_domain)
+            return real_pool(pool_domain, *args)
+
+        monkeypatch.setattr(harness, "CandidatePool", counted_pool)
         n = 8
         barrier = threading.Barrier(n)
         pools = [None] * n
@@ -314,6 +322,14 @@ class TestLazyPools:
         assert data.pools == {domain: pools[0]}
         ids = [s.id for s in data.series if s.domain == domain]
         assert collections.Counter(calls) == {(sid, "train"): 1 for sid in ids}
+        assert built == [domain]
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_pools_record_their_fraction_and_seed(self, fraction):
+        # perfbench/tracer.py keys each retrieval by its pool's fraction and seed
+        cfg = config(pool_fraction=fraction)
+        for pool in domain_pools(cfg, prepare_run(cfg)).values():
+            assert (pool.fraction, pool.seed) == (fraction, cfg.seed)
 
 
 class TestSharedRetrieval:
@@ -487,8 +503,9 @@ class TestPrunedRetrieval:
             return real_screen(*args)
 
         def best_spy(query, pool, subsets):
-            _, norms, series_ids, _, _ = pool._arrays()
-            usable[0] += int(np.sum((norms > 0) & (series_ids != query.series_id)))
+            usable[0] += int(
+                np.sum((pool.norms > 0) & (pool.series_ids != query.series_id))
+            )
             return real_best(query, pool, subsets)
 
         monkeypatch.setattr(retrieval, "_screen_scores", screen_spy)
