@@ -105,6 +105,10 @@ class ExperimentConfig:
         check_field_types(self)
         if (self.dataset_root is None) == (self.synth is None):
             raise ConfigError("set exactly one of dataset_root and synth")
+        # an empty path would name the working directory
+        for name in ("dataset_root", "out_dir"):
+            if getattr(self, name) == "":
+                raise ConfigError(f"{name} must not be empty")
         te, h, tt = self.budget
         if te < 1 or tt < 1 or h < 2:
             raise ConfigError(f"bad budget {tuple(self.budget)}")
@@ -182,18 +186,19 @@ def _build(cls, fields: dict):
 
 @dataclass
 class PreparedRun:
-    """Standardized series, per-series periods, and per-domain pools.
+    """A run's config, standardized series, periods, and domain pools.
 
-    ``pools`` is keyed by domain and filled by :func:`_domain_pool`, which
-    cuts a domain's pool with the config of the first retrieval that needs
-    it and builds its arrays then, under ``_lock``; every caller passes
-    the config that prepared the run.
+    It serves only ``config``, compared as the report's config snapshot
+    (``out_dir`` may differ): another config is a :class:`ConfigError`.
+    ``pools`` is keyed by domain and filled under ``_lock`` by
+    :func:`_domain_pool` on each domain's first retrieval.
     ``_examples`` holds each series' windows and, per pool fraction,
     their retrieved examples, filled lazily by :func:`_retrieved` so
     that every retrieval consumer of the run cuts a series' windows and
     scores a window's query once.
     """
 
+    config: ExperimentConfig
     series: list[LabeledSeries]
     periods: dict[str, int]
     pools: dict[str, CandidatePool]
@@ -236,16 +241,27 @@ def prepare_run(config: ExperimentConfig) -> PreparedRun:
     for raw in _load_series(config):
         std, periods[raw.id] = prepare_series(raw, config.period_source)
         series.append(std)
-    return PreparedRun(series=series, periods=periods, pools={})
+    return PreparedRun(config=config, series=series, periods=periods, pools={})
 
 
-def _domain_pool(
-    config: ExperimentConfig, data: PreparedRun, domain: str
-) -> CandidatePool:
+def _prepared(config: ExperimentConfig, data: PreparedRun | None) -> PreparedRun:
+    """``data``, checked to be prepared from ``config``, or a new run."""
+    if data is None:
+        return prepare_run(config)
+    config.validate()
+    ours, theirs = config.to_dict(), data.config.to_dict()
+    differ = [name for name in ours if ours[name] != theirs[name]]
+    if differ:
+        raise ConfigError(f"data was prepared from a config that differs in {differ}")
+    return data
+
+
+def _domain_pool(data: PreparedRun, domain: str) -> CandidatePool:
     """``domain``'s pool, cut and built once per run, under the run's lock:
     each of its series' windows in load order, from the train region and,
     for ``retrieval_region="full"``, the test region, subsampled to
-    ``config.pool_fraction`` before the pool's arrays are built."""
+    ``pool_fraction`` before the pool's arrays are built."""
+    config = data.config
     with data._lock:
         if domain in data.pools:
             return data.pools[domain]
@@ -288,7 +304,6 @@ def _windows(
 
 
 def _retrieved(
-    config: ExperimentConfig,
     data: PreparedRun,
     series: LabeledSeries,
     region: str,
@@ -301,24 +316,23 @@ def _retrieved(
     among those :func:`subsample_indices` keeps (as in a pool passed
     through :func:`subsample_pool`), the lowest index on ties, or the
     message of the :class:`RatfmError` retrieval raised.
-    Examples are cached per prepared run, series, region, window
-    geometry (budget and eval stride) and fraction, and the windows
-    under the same key without the fraction; only fractions not cached
-    yet are retrieved.  No lock is held while retrieving: series
-    ids are unique, so two threads fill the same entry only when two
-    runs share ``data`` at once, and both then store the same examples.
+    Examples are cached per prepared run, series, region and fraction,
+    windows without the fraction; only fractions not cached yet are
+    retrieved.  No lock is held while retrieving: series ids are unique,
+    so two threads fill the same entry only when two runs share ``data``
+    at once, and both then store the same examples.
     """
-    key = (series.id, region, config.budget, _eval_stride(config))
+    key = (series.id, region)
     if key not in data._examples:
-        data._examples[key] = _windows(config, series, region)
+        data._examples[key] = _windows(data.config, series, region)
     windows = data._examples[key]
     missing = [f for f in fractions if key + (f,) not in data._examples]
     if missing:
-        pool = _domain_pool(config, data, series.domain)
-        kept = [subsample_indices(len(pool), f, config.seed) for f in missing]
+        pool = _domain_pool(data, series.domain)
+        kept = [subsample_indices(len(pool), f, data.config.seed) for f in missing]
         found: list[list] = [[] for _ in missing]
         for w in windows:
-            query = _retrieval_query(w, config.budget.example_len)
+            query = _retrieval_query(w, data.config.budget.example_len)
             try:
                 picks = [
                     pool.entries[won[0]] if won else str(no_candidate(query, pool))
@@ -341,16 +355,15 @@ def _map(config: ExperimentConfig, fn, items: list) -> list:
     return [fn(x) for x in items]
 
 
-def _train_forecaster(
-    config: ExperimentConfig, data: PreparedRun
-) -> tuple[LinearForecaster, dict]:
+def _train_forecaster(data: PreparedRun) -> tuple[LinearForecaster, dict]:
     """Fit the linear forecaster on retrieval-augmented training contexts.
 
     Windows whose retrieval failed are left out.
     """
+    config = data.config
 
     def series_contexts(series: LabeledSeries) -> list:
-        windows, (examples,) = _retrieved(config, data, series, "train")
+        windows, (examples,) = _retrieved(data, series, "train")
         return [
             assemble_context(w, example, config.budget)
             for w, example in zip(windows, examples)
@@ -457,24 +470,21 @@ def run_setting(
     setting: str,
     *,
     data: PreparedRun | None = None,
-    trained: Forecaster | None = None,
 ) -> EvalReport:
     """Evaluate one pipeline setting over the whole dataset.
 
-    ``data`` lets several settings share one prepared run: a test
-    window's example is retrieved once per run and window geometry, so
-    ``ratfm_copy``, ``ratfm_linear`` and :func:`similarity_diagnostics`
-    on the same ``data`` retrieve it once between them.  ``trained``
-    reuses an already-fitted linear forecaster.
+    ``data`` shares a run prepared from ``config`` (another config is a
+    :class:`ConfigError`): a test window's example is retrieved once per
+    run, so ``ratfm_copy``, ``ratfm_linear`` and
+    :func:`similarity_diagnostics` on it retrieve it once between them.
     """
     _check_setting(setting)
-    config.validate()
-    if data is None:
-        data = prepare_run(config)
+    data = _prepared(config, data)
     report = EvalReport(setting=setting, config=config.to_dict())
-    if setting == "ratfm_linear" and trained is None:
-        trained, report.training = _train_forecaster(config, data)
-    return _evaluate(report, config, data, trained)
+    trained = None
+    if setting == "ratfm_linear":
+        trained, report.training = _train_forecaster(data)
+    return _evaluate(report, data, trained)
 
 
 def _check_setting(setting: str) -> None:
@@ -484,7 +494,6 @@ def _check_setting(setting: str) -> None:
 
 def _evaluate(
     report: EvalReport,
-    config: ExperimentConfig,
     data: PreparedRun,
     trained: Forecaster | None,
     fraction: float = 1.0,
@@ -494,15 +503,14 @@ def _evaluate(
     The retrieval settings take their test examples from ``fraction``
     of each domain pool, as :func:`_retrieved` picks them.
     """
+    config = data.config
 
     def eval_one(series: LabeledSeries):
         try:
             if report.setting == "zero_shot_naive":
                 windows, examples = _windows(config, series, "test"), None
             else:
-                windows, (examples,) = _retrieved(
-                    config, data, series, "test", (fraction,)
-                )
+                windows, (examples,) = _retrieved(data, series, "test", (fraction,))
             rec, dump = _eval_series(
                 series,
                 config,
@@ -569,11 +577,11 @@ def sweep_pool_fraction(
 ) -> SweepResult:
     """Evaluate ``setting`` with the candidate pools subsampled to each fraction.
 
-    A fraction's report equals :func:`run_setting` on pools passed
-    through :func:`subsample_pool` (seeded by ``config.seed``), but each
+    A fraction's report equals one evaluated on pools passed through
+    :func:`subsample_pool` (seeded by ``config.seed``) and, for the linear
+    setting, with the forecaster trained once on the full pools; but each
     test query is scored once for all fractions (:func:`_retrieved`).
-    The forecaster (for the linear setting) is trained once on the full
-    pools and reused.  ``data`` shares a prepared run as in
+    ``data`` shares a run prepared from ``config`` as in
     :func:`run_setting`: fractions another call on it already retrieved
     are not retrieved again.
     """
@@ -581,18 +589,16 @@ def sweep_pool_fraction(
     config.validate()
     fractions = tuple(fractions if fractions is not None else config.fractions)
     _check_fractions(fractions)
-    if data is None:
-        data = prepare_run(config)
+    data = _prepared(config, data)
     trained = None
     if setting == "ratfm_linear":
-        trained, _ = _train_forecaster(config, data)
+        trained, _ = _train_forecaster(data)
     if setting != "zero_shot_naive":
-        _map(config, lambda s: _retrieved(config, data, s, "test", fractions),
-             data.series)
+        _map(config, lambda s: _retrieved(data, s, "test", fractions), data.series)
     result = SweepResult(setting=setting, rows=[])
     for fraction in fractions:
         report = EvalReport(setting=setting, config=config.to_dict())
-        _evaluate(report, config, data, trained, fraction)
+        _evaluate(report, data, trained, fraction)
         result.reports[fraction] = report
         for domain, rec in report.per_domain.items():
             result.rows.append((fraction, domain, rec["vus_roc"], rec["n_series"]))
@@ -642,14 +648,12 @@ def similarity_diagnostics(
     Series are spread over ``config.workers`` threads; the sums run in
     series order, so the result does not depend on the worker count.
     """
-    config.validate()
-    if data is None:
-        data = prepare_run(config)
+    data = _prepared(config, data)
     te, h, tt = config.budget
 
     def series_similarities(series: LabeledSeries) -> list[tuple[float, float, float]]:
         out = []
-        windows, (examples,) = _retrieved(config, data, series, "test")
+        windows, (examples,) = _retrieved(data, series, "test")
         for w, example in zip(windows, examples):
             if isinstance(example, str):
                 continue

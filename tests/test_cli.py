@@ -265,6 +265,22 @@ class TestRun:
         assert "config error:" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("field", ["out_dir", "dataset_root"])
+    def test_empty_config_path_exits_2_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, field
+    ):
+        # an empty path in a config file would name the working directory:
+        # the run would write its reports there, or load every series in it
+        monkeypatch.chdir(tmp_path)
+        overrides = {field: "", "bootstrap_iterations": 0}
+        if field == "dataset_root":
+            overrides["synth"] = None
+        write_config(tmp_path, **overrides)
+        argv = ["run", "--setting", "zero_shot_naive", "--config", "config.json"]
+        assert main(argv) == 2
+        assert f"config error: {field} must not be empty" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
 
 class TestSweepAndDiag:
     def test_sweep_csv(self, tmp_path, capsys):

@@ -28,6 +28,7 @@ from ratfm.harness import (
     similarity_diagnostics,
     sweep_pool_fraction,
 )
+from ratfm.metrics import EvalReport
 from ratfm.retrieval import retrieve_best, subsample_pool
 from ratfm.synth import DomainTemplate, SynthSpec, write_synthetic
 
@@ -43,19 +44,21 @@ SPEC = SynthSpec(
 )
 
 
-def domain_pools(cfg, data):
+def domain_pools(data):
     """Every domain's pool of ``data``, cut as its first retrieval cuts it."""
     domains = sorted({s.domain for s in data.series})
-    return {dom: harness._domain_pool(cfg, data, dom) for dom in domains}
+    return {dom: harness._domain_pool(data, dom) for dom in domains}
 
 
 def subsampled(cfg, data, fraction):
     """``data`` with every pool passed through ``subsample_pool``."""
     pools = {
         dom: subsample_pool(p, fraction, cfg.seed)
-        for dom, p in domain_pools(cfg, data).items()
+        for dom, p in domain_pools(data).items()
     }
-    return PreparedRun(series=data.series, periods=data.periods, pools=pools)
+    return PreparedRun(
+        config=cfg, series=data.series, periods=data.periods, pools=pools
+    )
 
 
 def retrieval_queries(cfg, data):
@@ -177,6 +180,8 @@ class TestConfig:
             {"dataset_root": "x", "fractions": [0.5, "1"]},
             {"synth": {"anomaly_len": [30]}},
             {"synth": {"templates": [{"periods": [8.0], "amplitudes": ["1"], "phases": [0]}]}},
+            {"dataset_root": ""},
+            {"dataset_root": "x", "out_dir": ""},
         ],
     )
     def test_malformed_values_rejected(self, raw):
@@ -267,7 +272,7 @@ class TestLazyPools:
         te, h, _ = cfg.budget
         regions = ["train", "test"] if region == "full" else ["train"]
         for s in data.series:
-            harness._retrieved(cfg, data, s, "test")
+            harness._retrieved(data, s, "test")
         assert sorted(data.pools) == ["dom0", "dom1"]
         for dom, pool in data.pools.items():
             cut = [
@@ -310,7 +315,7 @@ class TestLazyPools:
 
         def touch(i):
             barrier.wait(timeout=30)
-            pools[i] = harness._domain_pool(cfg, data, domain)
+            pools[i] = harness._domain_pool(data, domain)
 
         threads = [threading.Thread(target=touch, args=(i,)) for i in range(n)]
         for t in threads:
@@ -328,7 +333,7 @@ class TestLazyPools:
     def test_pools_record_their_fraction_and_seed(self, fraction):
         # perfbench/tracer.py keys each retrieval by its pool's fraction and seed
         cfg = config(pool_fraction=fraction)
-        for pool in domain_pools(cfg, prepare_run(cfg)).values():
+        for pool in domain_pools(prepare_run(cfg)).values():
             assert (pool.fraction, pool.seed) == (fraction, cfg.seed)
 
 
@@ -366,7 +371,7 @@ class TestSharedRetrieval:
         n_examples = 0
         for s in data.series:
             for region in ("test", "train"):
-                windows, (examples,) = harness._retrieved(cfg, data, s, region)
+                windows, (examples,) = harness._retrieved(data, s, region)
                 for w, example in zip(windows, examples):
                     query = harness._retrieval_query(w, cfg.budget.example_len)
                     try:
@@ -381,13 +386,13 @@ class TestSharedRetrieval:
         data = prepare_run(cfg)
         s = data.series[0]
         calls = spy_scores(monkeypatch)
-        windows, both = harness._retrieved(cfg, data, s, "test", (1.0, 0.5))
+        windows, both = harness._retrieved(data, s, "test", (1.0, 0.5))
         assert len(calls) == len(windows) > 0
         calls.clear()
-        assert harness._retrieved(cfg, data, s, "test", (0.5,))[1][0] is both[1]
-        assert harness._retrieved(cfg, data, s, "test", (1.0,))[1][0] is both[0]
+        assert harness._retrieved(data, s, "test", (0.5,))[1][0] is both[1]
+        assert harness._retrieved(data, s, "test", (1.0,))[1][0] is both[0]
         assert calls == []
-        harness._retrieved(cfg, data, s, "test", (0.25,))
+        harness._retrieved(data, s, "test", (0.25,))
         assert collections.Counter(calls) == dict.fromkeys(calls, 1)
         assert len(calls) == len(windows)
 
@@ -434,17 +439,34 @@ class TestSharedRetrieval:
         sweep_pool_fraction(cfg, [1.0, 0.5])  # prepares its own run
         assert collections.Counter(calls) == {(sid, "test", h, h): 1 for sid in ids}
 
-    @pytest.mark.parametrize("setting", ["ratfm_copy", "ratfm_linear"])
-    def test_other_eval_stride_on_the_same_run_equals_a_fresh_run(self, setting):
-        cfg = config()
-        data = prepare_run(cfg)
-        run_setting(cfg, setting, data=data)
-        similarity_diagnostics(cfg, data=data)
-        dense = config(eval_stride=8)
-        shared = run_setting(dense, setting, data=data).to_json()
-        assert shared == run_setting(dense, setting).to_json()
-        shared = similarity_diagnostics(dense, data=data).to_dict()
-        assert shared == similarity_diagnostics(dense).to_dict()
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("eval_stride", 8),
+            ("budget", Budget(32, 16, 32)),
+            ("pool_stride", 16),
+            ("seed", 14),
+            ("synth", dataclasses.replace(SPEC, series_per_domain=3)),
+        ],
+    )
+    def test_a_run_prepared_from_another_config_is_a_config_error(self, field, value):
+        data = prepare_run(config())
+        other = config(**{field: value})
+        calls = [
+            lambda: run_setting(other, "ratfm_copy", data=data),
+            lambda: similarity_diagnostics(other, data=data),
+            lambda: sweep_pool_fraction(other, [1.0, 0.5], data=data),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigError, match=rf"differs in \['{field}'\]$"):
+                call()
+
+    def test_a_run_serves_a_config_that_differs_only_in_out_dir(self):
+        data = prepare_run(config())
+        run_setting(config(), "ratfm_copy", data=data)
+        elsewhere = config(out_dir="elsewhere")
+        shared = run_setting(elsewhere, "ratfm_copy", data=data).to_json()
+        assert shared == run_setting(elsewhere, "ratfm_copy").to_json()
 
 
 class TestPrunedRetrieval:
@@ -455,7 +477,7 @@ class TestPrunedRetrieval:
         data = prepare_run(cfg)
         te = cfg.budget.example_len
         pools = {}
-        for dom, pool in domain_pools(cfg, data).items():
+        for dom, pool in domain_pools(data).items():
             entries = list(pool.entries)
             entries += [dataclasses.replace(e) for e in pool.entries]
             ids = [s.id for s in data.series if s.domain == dom]
@@ -468,7 +490,9 @@ class TestPrunedRetrieval:
                     entries.insert(len(entries) // 3, planted)
             assert len(entries) > 4 * retrieval._CHUNK_ROWS
             pools[dom] = retrieval.CandidatePool(domain=dom, entries=entries)
-        data = PreparedRun(series=data.series, periods=data.periods, pools=pools)
+        data = PreparedRun(
+            config=cfg, series=data.series, periods=data.periods, pools=pools
+        )
         fractions = (1.0, 0.5, 0.1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -479,7 +503,7 @@ class TestPrunedRetrieval:
         n_ties = 0
         for s in data.series:
             pool = pools[s.domain]
-            windows, found = harness._retrieved(cfg, data, s, "test", fractions)
+            windows, found = harness._retrieved(data, s, "test", fractions)
             for i, w in enumerate(windows):
                 query = harness._retrieval_query(w, te)
                 scores = exhaustive_scores(query, pool.entries)
@@ -661,8 +685,8 @@ class TestRunSetting:
 
     def test_full_retrieval_region_grows_pools(self):
         cfg, full_cfg = config(), config(retrieval_region="full")
-        train_only = domain_pools(cfg, prepare_run(cfg))
-        full = domain_pools(full_cfg, prepare_run(full_cfg))
+        train_only = domain_pools(prepare_run(cfg))
+        full = domain_pools(prepare_run(full_cfg))
         assert set(train_only) == set(full) != set()
         for domain in train_only:
             assert len(full[domain]) > len(train_only[domain])
@@ -728,11 +752,12 @@ class TestSweep:
         data = prepare_run(cfg)
         trained = None
         if setting == "ratfm_linear":
-            trained, _ = harness._train_forecaster(cfg, data)
+            # the sweep's forecaster is trained on the full pools
+            trained, _ = harness._train_forecaster(data)
         for f in fractions:
-            sub = subsampled(cfg, data, f)
-            expected = run_setting(cfg, setting, data=sub, trained=trained).to_json()
-            assert sweep.reports[f].to_json() == expected
+            report = EvalReport(setting=setting, config=cfg.to_dict())
+            harness._evaluate(report, subsampled(cfg, data, f), trained)
+            assert sweep.reports[f].to_json() == report.to_json()
         assert len({sweep.reports[f].to_json() for f in fractions}) == len(fractions)
 
     def test_one_series_domain_is_skipped(self, tmp_path):
