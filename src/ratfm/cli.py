@@ -163,7 +163,7 @@ def _cmd_diag(args: argparse.Namespace) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "diagnostics.json").write_text(
-        json.dumps(diag.to_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(diag.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     diag.write_csv(out / "diagnostics.csv")
     for dom, rec in sorted(diag.per_domain.items()):

@@ -1,6 +1,6 @@
 """UCR-archive-style series ingestion, standardization, and windowing.
 
-Files are plain text holding whitespace-separated numbers, with the
+Files are UTF-8 text holding whitespace-separated numbers, with the
 train/test split and one anomaly span encoded in the filename as the
 three trailing underscore-separated integers:
 ``<id>_<name>_<trainEnd>_<anomStart>_<anomEnd>.<ext>``.
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,8 +28,9 @@ from .errors import (
 
 STD_EPSILON = 1e-8
 
-# tokens parsed per orjson call in parse_ucr_file; bounds the joined text
-_PARSE_CHUNK_TOKENS = 1 << 16
+# bytes per orjson call in parse_ucr_file, cut where a line ends
+_PARSE_CHUNK_BYTES = 1 << 20
+_BLANK = re.compile(rb"\s")
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,21 @@ class Window:
     future: np.ndarray
 
 
+def _json_floats(text: bytes, n: int) -> list[float] | None:
+    """``text`` read by orjson as a JSON array's body, if that is ``n`` floats."""
+    try:
+        parsed = orjson.loads(b"[" + text + b"]")
+    except orjson.JSONDecodeError:
+        return None
+    return parsed if len(parsed) == n and {*map(type, parsed)} == {float} else None
+
+
+def _parse_tokens(chunk: bytes) -> list[float] | list[str]:
+    """``chunk``'s tokens: as floats if orjson reads each as a JSON float."""
+    tokens = chunk.split()
+    return _json_floats(b",".join(tokens), len(tokens)) or chunk.decode("utf-8").split()
+
+
 def parse_ucr_file(path: str | Path) -> LabeledSeries:
     """Parse one UCR-style text file into a :class:`LabeledSeries`.
 
@@ -128,30 +145,32 @@ def parse_ucr_file(path: str | Path) -> LabeledSeries:
     domain = lead[1] if len(lead) >= 2 else lead[0]
 
     try:
-        tokens = path.read_text().split()
-    except (OSError, UnicodeDecodeError) as exc:
+        data = path.read_bytes()
+    except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    if not tokens:
-        raise EmptySeriesError(f"{path.name}: file holds no values")
-    # orjson reads numbers correctly rounded, as float() does, so a chunk it
-    # returns as all floats is bitwise float(tok) of each token; ints (so "-0"
-    # keeps its sign) and what JSON rejects go through numpy, which calls
-    # float() per string.  On failure the loop names the first offending token.
-    values = np.empty(len(tokens))
+    # orjson reads each ~1 MiB chunk of lines; it rounds as float() does, so one
+    # JSON float per line (a comma adds a value) is bitwise float(tok).  Other
+    # chunks (blank lines, two tokens on a line, ints, so "-0" keeps its sign, or
+    # what JSON rejects) go by _parse_tokens; the loop names the first bad token.
+    pieces, lo, end = [], 0, len(data) - data.endswith(b"\n")
     try:
-        for i in range(0, len(tokens), _PARSE_CHUNK_TOKENS):
-            chunk = tokens[i : i + _PARSE_CHUNK_TOKENS]
-            try:
-                parsed = orjson.loads("[" + ",".join(chunk) + "]")
-            except orjson.JSONDecodeError:
-                parsed = []
-            if len(parsed) != len(chunk) or set(map(type, parsed)) != {float}:
-                parsed = np.array(chunk, dtype=np.float64)
-            values[i : i + len(chunk)] = parsed
+        while lo < end:
+            hi = data.find(b"\n", lo + _PARSE_CHUNK_BYTES, end)
+            if not lo < hi < lo + 2 * _PARSE_CHUNK_BYTES:  # cut a long line at a blank
+                blank = _BLANK.search(data, lo + _PARSE_CHUNK_BYTES, end)
+                hi = blank.start() if blank else end
+            chunk, lo = data[lo:hi], hi + 1
+            floats = _json_floats(chunk.replace(b"\n", b","), chunk.count(b"\n") + 1)
+            pieces.append(np.asarray(floats or _parse_tokens(chunk), dtype=np.float64))
+        values = np.concatenate(pieces) if pieces else np.empty(0)
         finite = bool(np.isfinite(values).all())
     except ValueError:
         finite = False
     if not finite:
+        try:
+            tokens = data.decode("utf-8").split()
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"cannot read {path}: {exc}") from exc
         for tok in tokens:
             try:
                 value = float(tok)
@@ -159,6 +178,8 @@ def parse_ucr_file(path: str | Path) -> LabeledSeries:
                 raise NonNumericTokenError(f"{path.name}: bad token {tok!r}") from exc
             if not math.isfinite(value):
                 raise NonNumericTokenError(f"{path.name}: non-finite token {tok!r}")
+    if not len(values):
+        raise EmptySeriesError(f"{path.name}: file holds no values")
 
     return LabeledSeries(
         id=path.stem,
@@ -280,4 +301,4 @@ def dump_metadata(series_list: list[LabeledSeries], path: str | Path) -> None:
     ]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"series": meta}, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps({"series": meta}, indent=2, sort_keys=True) + "\n", "utf-8")

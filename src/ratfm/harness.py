@@ -161,7 +161,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(raw)
@@ -552,7 +552,7 @@ class SweepResult:
         lines = ["fraction,domain,vus_roc,n_series"]
         for fraction, domain, vus_roc, n_series in self.rows:
             lines.append(f"{fraction},{domain},{vus_roc!r},{n_series}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _check_fractions(fractions) -> None:
@@ -628,7 +628,7 @@ class SimilarityDiagnostics:
                 f"{dom},{rec['example_future']!r},{rec['aligned_segment']!r},"
                 f"{rec['best_segment']!r},{rec['n_windows']}"
             )
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def similarity_diagnostics(
@@ -699,7 +699,7 @@ def emit_reports(report: EvalReport, out_dir: str | Path) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"report": out / "report.json", "per_series": out / "per_series.csv"}
-    paths["report"].write_text(report.to_json())
+    paths["report"].write_text(report.to_json(), encoding="utf-8")
     report.write_per_series_csv(paths["per_series"])
     scores_dir = out / "scores"
     scores_dir.mkdir(exist_ok=True)
@@ -716,6 +716,6 @@ def emit_reports(report: EvalReport, out_dir: str | Path) -> dict[str, Path]:
     if report.config is not None:
         paths["config"] = out / "config.json"
         paths["config"].write_text(
-            json.dumps(report.config, indent=2, sort_keys=True) + "\n"
+            json.dumps(report.config, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     return paths

@@ -303,7 +303,7 @@ class EvalReport:
 
     def write_per_series_csv(self, path: str | Path) -> None:
         cols = ["series_id", "domain", *METRIC_NAMES, "threshold", "n_windows"]
-        with Path(path).open("w", newline="") as fh:
+        with Path(path).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(cols)
             for sid, rec in self.per_series.items():

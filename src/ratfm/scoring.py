@@ -28,7 +28,7 @@ from .errors import (
 DEFAULT_DOMINANCE_THRESHOLD = 4.0
 DEFAULT_FALLBACK_PERIOD = 10
 
-# rows per write in dump_scores_csv; bounds the text held at once
+# rows per chunk in dump_scores_csv; bounds the text held at once
 _CSV_CHUNK_ROWS = 1 << 15
 
 
@@ -153,23 +153,6 @@ def threshold_labels(scores: np.ndarray) -> tuple[np.ndarray, float]:
     return labels, threshold
 
 
-def _float_reprs(values: np.ndarray) -> list[str]:
-    """``repr`` of each float64 in ``values``, formatted by orjson.
-
-    orjson and ``repr`` both write the shortest digits that round-trip,
-    closest to the exact value with ties to even, and write them the
-    same way for zero and for ``1e-4 <= |v| < 1e16``; every other value
-    (small, huge, subnormal, NaN, infinite) goes through ``repr``.
-    """
-    if not len(values):
-        return []
-    out = orjson.dumps(values.tolist())[1:-1].decode().split(",")
-    mag = np.abs(values)
-    for i in np.flatnonzero((values != 0.0) & ~((mag >= 1e-4) & (mag < 1e16))):
-        out[i] = repr(float(values[i]))
-    return out
-
-
 def dump_scores_csv(
     path: str | Path,
     series_id: str,
@@ -179,29 +162,35 @@ def dump_scores_csv(
     labels: np.ndarray,
     threshold: float,
 ) -> None:
-    """Write one series' scores as plot-ready CSV.
+    """Write one series' scores as plot-ready CSV, encoded as UTF-8.
 
-    The format is ``csv.writer``'s default dialect (CRLF line ends,
-    minimal quoting) with every float written as its ``repr``.  Rows are
-    built and written ``_CSV_CHUNK_ROWS`` at a time; only the series id
-    can need quoting, so it goes through ``csv.writer`` once.
+    The format is ``csv.writer``'s default dialect (CRLF line ends, minimal
+    quoting) with every float written as its ``repr``.  Each chunk of rows is
+    one ``orjson.dumps`` of ``(t, raw, smoothed, label)`` tuples: orjson writes
+    ``repr``'s digits, and its notation for zero and ``1e-4 <= |v| < 1e16``.
+    A row holding any other value (tiny, huge, subnormal, NaN, infinite) is
+    written by ``repr`` between orjson's runs.
     """
     # a one-field row would quote an empty id, so quote it beside a second field
     buf = io.StringIO()
     csv.writer(buf).writerow([series_id, 0])
-    sid = buf.getvalue()[: -len(",0\r\n")]
-    tail = f",{threshold!r}\r\n"
-    raw = np.asarray(raw, dtype=np.float64)
-    smoothed = np.asarray(smoothed, dtype=np.float64)
-    labels = np.asarray(labels)
-    with Path(path).open("w", newline="") as fh:
-        fh.write("series_id,t_absolute,raw_score,smoothed_score,label,threshold\r\n")
+    head = buf.getvalue()[: -len("0\r\n")].encode()
+    tail = f",{threshold!r}\r\n".encode()
+    with Path(path).open("wb") as fh:
+        fh.write(b"series_id,t_absolute,raw_score,smoothed_score,label,threshold\r\n")
         for lo in range(0, len(raw), _CSV_CHUNK_ROWS):
             hi = lo + _CSV_CHUNK_ROWS
-            rows = zip(
-                range(t_absolute_start + lo, t_absolute_start + hi),
-                _float_reprs(raw[lo:hi]),
-                _float_reprs(smoothed[lo:hi]),
-                labels[lo:hi].astype(np.int64).tolist(),
-            )
-            fh.write("".join(f"{sid},{t},{r},{s},{lab}{tail}" for t, r, s, lab in rows))
+            cols = np.array([raw[lo:hi], smoothed[lo:hi]], dtype=np.float64)
+            odd = ((cols != 0.0) & ~((abs(cols) >= 1e-4) & (abs(cols) < 1e16))).any(0)
+            ts = range(t_absolute_start + lo, t_absolute_start + hi)
+            labs = np.asarray(labels[lo:hi], dtype=np.int64).tolist()
+            rows = list(zip(ts, *cols.tolist(), labs))
+            start = 0
+            for i in [*np.flatnonzero(odd).tolist(), len(rows)]:
+                if start < i:
+                    text = orjson.dumps(rows[start:i])[2:-2]
+                    fh.writelines((head, text.replace(b"],[", tail + head), tail))
+                if i < len(rows):
+                    t, r, s, lab = rows[i]
+                    fh.writelines((head, f"{t},{r!r},{s!r},{lab}".encode(), tail))
+                start = i + 1

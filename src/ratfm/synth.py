@@ -210,6 +210,6 @@ def write_synthetic(spec: SynthSpec, out_dir: str | Path) -> list[Path]:
     paths = []
     for series in generated:
         path = out_dir / f"{series.id}.txt"
-        path.write_text("\n".join(repr(float(v)) for v in series.values) + "\n")
+        path.write_text("".join(f"{v!r}\n" for v in series.values.tolist()), "utf-8")
         paths.append(path)
     return paths

@@ -52,6 +52,20 @@ def float_path(name, tokens):
     return np.array(values)
 
 
+def assert_parses_in_bounded_memory(tmp_path, sep):
+    values = np.random.default_rng(0).normal(size=300_000)
+    path = tmp_path / "a_b_100000_150000_150100.txt"
+    path.write_bytes(sep.join(map(repr, values.tolist())).encode())
+    tracemalloc.start()
+    try:
+        parsed = parse_ucr_file(path).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.tobytes() == values.tobytes()
+    assert peak < 32 * 2**20
+
+
 def halfway(x):
     """The exact decimal midway between float ``x`` and the next float up."""
     return str((Decimal(x) + Decimal(np.nextafter(x, np.inf))) / 2)
@@ -78,9 +92,15 @@ _ODD = st.one_of(
     st.sampled_from(
         ["-0", "1_000", "+1", ".5", "1.", "01.5", "\u0661\u0662\u0663", "\uff11\uff12"]
         + ["nan", "-inf", "Infinity", "0x1f", "abc", "1,2", "[1", "1]", '"1"', "true"]
+        + ["[1]", "[1.5]", "1.5,", ",2.5", "{}"]
     ),
 )
 _TOKEN = st.integers(0, 9).flatmap(lambda k: _ODD if k == 0 else _NUMBER)
+# one float per line, blank lines, two tokens on a line, CRLF, padded lines and
+# whitespace that JSON rejects but str.split() splits at
+_SEPARATOR = st.sampled_from(
+    ["\n", "\n", "\r\n", "\n\n", " \n", "\n ", " ", "\t", "\x0c", "\x1c", "\u2003"]
+)
 
 
 def make_series(values, train_end, spans=(), sid="s", domain="d"):
@@ -189,6 +209,11 @@ class TestParse:
             ("1 -inf 0x1f 4", "non-finite token '-inf'"),
             ("1 0x1f 1e999 4", "bad token '0x1f'"),
             ("1 1e999 2 nan", "non-finite token '1e999'"),
+            # a comma of the file's own adds a JSON value: read as one
+            # float per line or as joined tokens, the count tells
+            ("1.5\n2.5 ,3.5\n4.5", "bad token ',3.5'"),
+            ("0.5 1.5,2.5 3.5", "bad token '1.5,2.5'"),
+            ("0.5\n[1.5]\n2.5", "bad token '[1.5]'"),
         ],
     )
     def test_first_offending_token_is_named(self, tmp_path, text, message):
@@ -200,20 +225,22 @@ class TestParse:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(
-            st.tuples(_TOKEN, st.sampled_from([" ", "\t", "\r\n", "\x1c", "\u2003"])),
-            min_size=6,
-            max_size=40,
-        ),
-        st.integers(1, 8),
+        st.sampled_from(["", " ", "\n", " \t"]),
+        st.lists(st.tuples(_TOKEN, _SEPARATOR), min_size=6, max_size=40),
+        st.booleans(),
+        st.integers(1, 64),
     )
-    def test_values_or_error_are_those_of_float(self, tokens, chunk):
-        text = "".join(tok + sep for tok, sep in tokens)
+    def test_values_or_error_are_those_of_float(self, lead, tokens, final_sep, chunk):
+        # chunks of 1-64 bytes cut through the lines; each chunk holds whole
+        # lines, or the pieces of a long line cut at blanks
+        text = lead + "".join(tok + sep for tok, sep in tokens)
+        if not final_sep:
+            text = text[: -len(tokens[-1][1])]
         expected = float_path("a_b_3_4_5.txt", text.split())
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "a_b_3_4_5.txt"
-            path.write_text(text)
-            with mock.patch.object(dataset, "_PARSE_CHUNK_TOKENS", chunk):
+            path.write_bytes(text.encode())
+            with mock.patch.object(dataset, "_PARSE_CHUNK_BYTES", chunk):
                 if isinstance(expected, Exception):
                     with pytest.raises(type(expected)) as info:
                         parse_ucr_file(path)
@@ -233,32 +260,48 @@ class TestParse:
         ],
     )
     def test_two_token_chunks(self, tmp_path, monkeypatch, text, expected):
-        monkeypatch.setattr(dataset, "_PARSE_CHUNK_TOKENS", 2)
+        # a chunk ends at the first blank from its fifth byte on, so
+        # each holds two tokens: on one line, or on two lines
+        monkeypatch.setattr(dataset, "_PARSE_CHUNK_BYTES", 4)
         path = tmp_path / "a_b_3_4_5.txt"
-        path.write_text(text)
-        if isinstance(expected, str):
-            with pytest.raises(NonNumericTokenError) as info:
-                parse_ucr_file(path)
-            assert str(info.value) == f"a_b_3_4_5.txt: {expected}"
-        else:
-            values = parse_ucr_file(path).values
-            assert values.tobytes() == np.array(expected).tobytes()
-            assert np.signbit(values).tolist() == np.signbit(expected).tolist()
+        for sep in (" ", "\n"):
+            path.write_text(text.replace(" ", sep), encoding="utf-8")
+            if isinstance(expected, str):
+                with pytest.raises(NonNumericTokenError) as info:
+                    parse_ucr_file(path)
+                assert str(info.value) == f"a_b_3_4_5.txt: {expected}"
+            else:
+                values = parse_ucr_file(path).values
+                assert values.tobytes() == np.array(expected).tobytes()
+                assert np.signbit(values).tolist() == np.signbit(expected).tolist()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_one_float_per_line_never_reaches_the_token_path(
+        self, tmp_path, monkeypatch, newline, final_newline
+    ):
+        def refuse(chunk):
+            raise AssertionError(f"token path reached for {chunk[:20]!r}")
+
+        monkeypatch.setattr(dataset, "_parse_tokens", refuse)
+        monkeypatch.setattr(dataset, "_PARSE_CHUNK_BYTES", 64)
+        values = np.random.default_rng(1).normal(size=200) * 10.0 ** np.arange(-100, 100)
+        text = newline.join(map(repr, values.tolist())) + newline * final_newline
+        path = tmp_path / "a_b_100_150_160.txt"
+        path.write_bytes(text.encode())
+        assert parse_ucr_file(path).values.tobytes() == values.tobytes()
 
     def test_300k_tokens_in_bounded_memory(self, tmp_path):
-        # parsing the joined text of all 300 000 tokens in one call peaks
-        # near 41 MB; 65 536-token chunks near 30 MB
-        values = np.random.default_rng(0).normal(size=300_000)
-        path = tmp_path / "a_b_100000_150000_150100.txt"
-        path.write_text("\n".join(map(repr, values.tolist())))
-        tracemalloc.start()
-        try:
-            parsed = parse_ucr_file(path).values
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert parsed.tobytes() == values.tobytes()
-        assert peak < 32 * 2**20
+        # the split tokens of all 300 000 lines, parsed in 65 536-token
+        # chunks, peaked near 30 MB; 1 MiB chunks of lines peak near 14 MB
+        assert_parses_in_bounded_memory(tmp_path, "\n")
+
+    def test_300k_crlf_lines_in_bounded_memory(self, tmp_path):
+        assert_parses_in_bounded_memory(tmp_path, "\r\n")
+
+    def test_300k_tokens_on_one_line_in_bounded_memory(self, tmp_path):
+        # the line is cut at blanks into ~1 MiB chunks; peaks near 17 MB
+        assert_parses_in_bounded_memory(tmp_path, " ")
 
     def test_load_dataset_sorted(self, tmp_path):
         write_series(tmp_path, "002_B_3_5_6.txt", range(10))

@@ -1,6 +1,8 @@
 import collections
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -868,3 +870,60 @@ class TestEmitReports:
         emit_reports(report, tmp_path)
         lines = (tmp_path / "per_series.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + len(report.per_series)
+
+    def test_text_files_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # the same script in a UTF-8 and in an ASCII locale: a non-ASCII series
+        # id, domain, config value and separator read and write the same bytes
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        (inputs / "config.json").write_bytes('{"dataset_root": "données"}'.encode())
+        (inputs / "a_b_3_4_5.txt").write_bytes("1.5\u20032.5\n-0\n3.5 4.5\n5.5".encode())
+        locales = {
+            "utf8": {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"},
+            "ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+        }
+        emitted = {}
+        for name, env in locales.items():
+            out = tmp_path / name
+            env = dict(os.environ, **env, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+            proc = subprocess.run(
+                [sys.executable, "-c", _WRITE_TEXT_FILES, str(inputs), str(out)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            emitted[name] = {
+                str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()
+            }
+            emitted[name + " encoding"] = proc.stdout
+        assert emitted["ascii encoding"] != emitted["utf8 encoding"] == "utf-8\n"
+        assert emitted["ascii"] == emitted["utf8"]
+        assert len(emitted["ascii"]) == 7
+        assert "séries_日本".encode() in emitted["ascii"]["scores.csv"]
+
+
+# ASCII source, as an ASCII locale decodes the command line; the series id is
+# "séries_日本" and the domain "dom_ü"
+_WRITE_TEXT_FILES = """
+import locale, sys
+from pathlib import Path
+import numpy as np
+from ratfm.dataset import dump_metadata, parse_ucr_file
+from ratfm.harness import ExperimentConfig, SimilarityDiagnostics, SweepResult, emit_reports
+from ratfm.metrics import METRIC_NAMES, EvalReport
+from ratfm.scoring import dump_scores_csv
+
+inputs, out = Path(sys.argv[1]), Path(sys.argv[2])
+sid, dom = "s\\u00e9ries_\\u65e5\\u672c", "dom_\\u00fc"
+config = ExperimentConfig.from_json(inputs / "config.json")
+series = parse_ucr_file(inputs / "a_b_3_4_5.txt")
+rec = {"domain": dom, **dict.fromkeys(METRIC_NAMES, 0.5), "threshold": 0.25, "n_windows": 2}
+report = EvalReport("zero_shot_naive", per_series={sid: rec}, config=config.to_dict())
+emit_reports(report, out)
+v = series.values
+dump_scores_csv(out / "scores.csv", sid, 0, v, v, v > 2.0, 2.0)
+dump_metadata([series], out / "meta.json")
+SweepResult("ratfm_copy", [(0.5, dom, 0.75, 1)]).write_csv(out / "sweep.csv")
+sims = {"example_future": 0.5, "aligned_segment": 0.25, "best_segment": 1.0, "n_windows": 2}
+SimilarityDiagnostics(per_domain={dom: sims}, overall=sims).write_csv(out / "diag.csv")
+print(locale.getpreferredencoding(False).lower())
+"""

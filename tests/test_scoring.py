@@ -1,5 +1,7 @@
 import csv
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -263,16 +265,22 @@ class TestCsvDump:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # holding the whole file's text and row strings at once peaks near 45 MB
+        # holding the whole file's text and row strings at once peaks near
+        # 45 MB; 32 768-row chunks of tuples for orjson near 13 MB
         assert peak < 20 * 2**20
 
-    def test_float_reprs_at_notation_edges(self):
+    def test_bytes_match_csv_writer_at_notation_edges(self, tmp_path, monkeypatch):
+        # three-row chunks: rows written by repr open, close and split them
+        monkeypatch.setattr(scoring, "_CSV_CHUNK_ROWS", 3)
         edges = []
         for edge in (1e-4, 1e16):
             edges += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
         edges += [0.0, 5e-324, np.finfo(np.float64).max]
         a = floats(edges + [-v for v in edges])
-        assert scoring._float_reprs(a) == [repr(v) for v in a.tolist()]
+        args = ("s", 0, a, np.roll(a, 1), np.signbit(a), 0.5)
+        dump_scores_csv(tmp_path / "fast.csv", *args)
+        per_row_csv(tmp_path / "ref.csv", *args)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # any float64: hypothesis' floats (NaN, inf, subnormals) and raw bit patterns
@@ -285,14 +293,21 @@ _FLOAT_ARRAYS = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(_FLOAT_ARRAYS)
-def test_float_reprs_match_repr(a):
-    assert scoring._float_reprs(a) == [repr(v) for v in a.tolist()]
+@given(_FLOAT_ARRAYS, _FLOAT_ARRAYS, st.integers(1, 8))
+def test_bytes_match_csv_writer_on_any_floats(raw, smoothed, chunk):
+    n = min(len(raw), len(smoothed))
+    args = ("s", 5, raw[:n], smoothed[:n], np.signbit(raw[:n]), 0.25)
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, ref = Path(tmp) / "fast.csv", Path(tmp) / "ref.csv"
+        with mock.patch.object(scoring, "_CSV_CHUNK_ROWS", chunk):
+            dump_scores_csv(fast, *args)
+        per_row_csv(ref, *args)
+        assert fast.read_bytes() == ref.read_bytes()
 
 
 def per_row_csv(path, series_id, t_absolute_start, raw, smoothed, labels, threshold):
     """The score CSV written one ``csv.writer`` row per point."""
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["series_id", "t_absolute", "raw_score", "smoothed_score", "label", "threshold"]
