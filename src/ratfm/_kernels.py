@@ -59,55 +59,121 @@ def best_lag_batch(cc: np.ndarray) -> np.ndarray:
     return order[np.argmax(cc[:, order], axis=1)].astype(np.int64)
 
 
-def weighted_areas(
-    soft_desc: np.ndarray, block_end: np.ndarray, work: np.ndarray | None = None
-) -> tuple[float, float]:
-    """(ROC area, PR area) from soft labels in descending-score order.
+class AreaPlan:
+    """Index sets and buffers that :func:`weighted_areas` reuses on one order.
 
-    ``block_end`` indexes the last point of each block of tied scores,
-    ascending and ending at ``n - 1``, so the sweep visits each block
-    once; curves start at the +inf sentinel (TPR=FPR=0, precision=1) and
-    end with every point included.  Requires positive total mass on both
-    ``soft`` and ``1 - soft``; the caller handles the degenerate cases.
+    ``block_end`` indexes, in descending-score order, the last point of
+    each block of tied scores, ascending and ending at ``n - 1``.
+    ``near`` lists, ascending, the sorted positions whose soft labels may
+    be non-zero; every other label must be exactly 0.
 
-    ``work`` is an optional ``(5, n + 1)`` float64 scratch array; callers
-    that score several label vectors of one length pass the same one, so
-    no call allocates.  Each trapezoid is evaluated in ``np.trapezoid``'s
-    operation order, ``(diff(x) * (y[1:] + y[:-1]) / 2.0).sum()``, so the
-    areas equal that formula on freshly allocated curves bit for bit.
+    Curve point ``c > 0`` follows block ``c - 1``; point 0 is the +inf
+    sentinel (no point included).  A block without a near point adds no
+    true-positive mass, so the PR trapezoid's term over it is an exact
+    0.0: its recall difference is ``x - x``.  ``at`` holds the curve
+    points such a term may need, those after a near block and before it,
+    plus point 0; between two consecutive entries of ``at`` there is
+    either one block, or only blocks without near points.
     """
-    n = len(soft_desc)
-    m = len(block_end)
-    if work is None:
-        work = np.empty((5, n + 1))
-    run, cum = work[0, :n], work[1, :n]
-    tpr, fpr, prec = work[2, : m + 1], work[3, : m + 1], work[4, : m + 1]
-    tp, fp = tpr[1:], fpr[1:]
-    np.subtract(1.0, soft_desc, out=run)
-    np.cumsum(run, out=cum)
+
+    def __init__(self, block_end: np.ndarray, near: np.ndarray) -> None:
+        m, k, n = len(block_end), len(near), int(block_end[-1]) + 1
+        self.near = near
+        self.block_end = block_end
+        # near points at or before each block end: an index into tp_buf
+        self.tp_at = np.searchsorted(near, block_end, "right")
+        # curve points before and after each near point's block; the
+        # temporaries are freed before the buffers below exist
+        after = np.searchsorted(block_end, near)
+        marks = np.zeros(m + 1, dtype=bool)
+        marks[0] = marks[after] = marks[after + 1] = True
+        del after
+        at = np.flatnonzero(marks)
+        del marks
+        u = len(at)
+        self.at_head, self.at_tail = at[:-1], at[1:]
+        # fp_buf holds 1 - soft, then its cumulative sum, then the recall
+        # at ``at``; tp_buf leads with a 0 that is never written (no near
+        # point yet), then holds 1 - soft at the near points, then their
+        # cumulative soft mass, then the precision at ``at``.
+        fp_buf = np.empty(max(n, u))
+        self.tp_buf = tp_buf = np.zeros(max(k, u) + 1)
+        self.run, self.near_mass = fp_buf[:n], tp_buf[1 : k + 1]
+        self.recall, self.precision = recall, precision = fp_buf[:u], tp_buf[1 : u + 1]
+        self.pr = (recall[1:], recall[:-1], precision[1:], precision[:-1])
+        self.curves = np.empty((2, m + 1))
+        tp, fp = self.curves
+        self.tp_tail, self.fp_tail = tp[1:], fp[1:]
+        self.terms = tp[:-1]
+        self.roc = (fp[1:], fp[:-1], tp[1:], tp[:-1])
+
+
+def weighted_areas(soft: np.ndarray, plan: AreaPlan) -> tuple[float, float]:
+    """(ROC area, PR area) from the soft labels at ``plan.near``.
+
+    The labels are in descending-score order; all others are 0.  Curves
+    start at the +inf sentinel (TPR=FPR=0, precision=1) and end with
+    every point included.  Requires positive total mass on both ``soft``
+    and ``1 - soft``; the caller handles the degenerate cases.
+
+    Full-length work is filling and cumulatively summing ``1 - soft``,
+    gathering and normalizing the two curves at the block ends, the ROC
+    trapezoid, and zeroing the PR terms.  The true-positive masses are a
+    cumulative sum over the near points, gathered at the block ends.
+    The PR terms are computed at ``plan.at`` only and written into a
+    zeroed array of one term per block, which is then summed: the array
+    equals a dense evaluation's, so its sum does too.  Each trapezoid is
+    evaluated in ``np.trapezoid``'s operation order,
+    ``(diff(x) * (y[1:] + y[:-1]) / 2.0).sum()``, so the areas equal that
+    formula on freshly allocated curves bit for bit.
+    """
+    # ufunc methods and ndarray.take skip numpy's Python-level wrappers,
+    # which cost as much as the work on a series of a few hundred points
+    run, near_mass = plan.run, plan.near_mass
+    np.subtract(1.0, soft, out=near_mass)
+    run.fill(1.0)
+    run[plan.near] = near_mass
+    np.add.accumulate(run, out=run)
+    np.add.accumulate(soft, out=near_mass)
     # take's default mode="raise" copies through a temporary when given
-    # out=; the block ends are in range, so "clip" gathers the same values
-    np.take(cum, block_end, out=fp, mode="clip")
-    np.cumsum(soft_desc, out=run)
-    np.take(run, block_end, out=tp, mode="clip")
-    np.add(tp, fp, out=prec[1:])
-    np.divide(tp, prec[1:], out=prec[1:])
-    pos = tp[-1]
-    neg = fp[-1]
+    # out=; the indices are in range, so "clip" gathers the same values
+    plan.tp_buf.take(plan.tp_at, out=plan.tp_tail, mode="clip")
+    run.take(plan.block_end, out=plan.fp_tail, mode="clip")
+    tp, fp = plan.curves
+    tp[0] = fp[0] = 0.0
+    pos, neg = tp[-1], fp[-1]
+    # recall and precision at plan.at, precision from the raw masses;
+    # at[0] is the sentinel, set apart since its precision is not 0 / 0
+    recall_tail, precision_tail = plan.pr[0], plan.pr[2]
+    tp.take(plan.at_tail, out=recall_tail, mode="clip")
+    fp.take(plan.at_tail, out=precision_tail, mode="clip")
+    np.add(recall_tail, precision_tail, out=precision_tail)
+    np.divide(recall_tail, precision_tail, out=precision_tail)
+    plan.recall[0], plan.precision[0] = 0.0, 1.0
+    np.divide(plan.recall, pos, out=plan.recall)
     np.divide(tp, pos, out=tp)
     np.divide(fp, neg, out=fp)
-    tpr[0] = fpr[0] = 0.0
-    prec[0] = 1.0
-    # the cumulative sums are spent: their rows hold the trapezoid terms
-    diff, mean = run[:m], cum[:m]
-    areas = []
-    for x, y in ((fpr, tpr), (tpr, prec)):
-        np.subtract(x[1:], x[:-1], out=diff)
-        np.add(y[1:], y[:-1], out=mean)
-        np.multiply(diff, mean, out=diff)
-        np.divide(diff, 2.0, out=diff)
-        areas.append(float(diff.sum()))
-    return areas[0], areas[1]
+    roc = float(np.add.reduce(_trapezoid_terms(*plan.roc)))
+    # the curves are spent: tp[:-1] holds the zeroed PR terms
+    terms = plan.terms
+    terms.fill(0.0)
+    terms[plan.at_head] = _trapezoid_terms(*plan.pr)
+    return roc, float(np.add.reduce(terms))
+
+
+def _trapezoid_terms(
+    x_hi: np.ndarray, x_lo: np.ndarray, y_hi: np.ndarray, y_lo: np.ndarray
+) -> np.ndarray:
+    """``(x_hi - x_lo) * (y_hi + y_lo) / 2.0``, written over ``x_lo`` and ``y_lo``.
+
+    The pairs are ``v[1:]`` and ``v[:-1]`` of one array each.  Each output
+    element is written after the inputs it reads, so numpy evaluates
+    these overlapping operations in place, without copies.
+    """
+    np.subtract(x_hi, x_lo, out=x_lo)
+    np.add(y_hi, y_lo, out=y_lo)
+    np.multiply(x_lo, y_lo, out=x_lo)
+    return np.divide(x_lo, 2.0, out=x_lo)
 
 
 def lag0_scan(haystack: np.ndarray, needle: np.ndarray) -> tuple[float, int]:

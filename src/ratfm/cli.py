@@ -16,7 +16,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .dataset import dump_metadata, load_dataset
+from .dataset import dump_metadata, load_dataset, os_name
 from .errors import ConfigError, DatasetError
 from .forecast import Budget
 from .harness import (
@@ -98,7 +98,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         domains[s.domain] = domains.get(s.domain, 0) + 1
     print(f"parsed {len(series)} series across {len(domains)} domains")
     for dom in sorted(domains):
-        print(f"  {dom}: {domains[dom]} series")
+        print(f"  {os_name(dom)}: {domains[dom]} series")
     if args.out is not None:
         dump_metadata(series, args.out)
         print(f"metadata written to {args.out}")
@@ -152,7 +152,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     csv_path = out / "sweep.csv"
     result.write_csv(csv_path)
     for fraction, domain, vus_roc, n_series in result.rows:
-        print(f"fraction={fraction} domain={domain} vus_roc={vus_roc:.4f} n={n_series}")
+        print(
+            f"fraction={fraction} domain={os_name(domain)} "
+            f"vus_roc={vus_roc:.4f} n={n_series}"
+        )
     print(f"sweep table written to {csv_path}")
     return EXIT_OK
 
@@ -168,7 +171,7 @@ def _cmd_diag(args: argparse.Namespace) -> int:
     diag.write_csv(out / "diagnostics.csv")
     for dom, rec in sorted(diag.per_domain.items()):
         print(
-            f"{dom}: example_future={rec['example_future']:.3f} "
+            f"{os_name(dom)}: example_future={rec['example_future']:.3f} "
             f"aligned={rec['aligned_segment']:.3f} best={rec['best_segment']:.3f}"
         )
     o = diag.overall

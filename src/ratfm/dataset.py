@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,6 +107,25 @@ class Window:
     future: np.ndarray
 
 
+def utf8_name(name: str) -> str:
+    """A file name as text, its bytes read as UTF-8 in any locale.
+
+    An ASCII locale decodes a non-ASCII name's bytes to surrogate
+    escapes, which no UTF-8 writer accepts; read as UTF-8, the name is
+    the text a UTF-8 locale gives.  Bytes that are not UTF-8 stay escaped.
+    """
+    return os.fsencode(name).decode("utf-8", "surrogateescape")
+
+
+def os_name(text: str) -> str:
+    """The inverse of :func:`utf8_name`: the name whose bytes are ``text`` in UTF-8.
+
+    For paths, and for the terminal, which in an ASCII locale writes
+    surrogate escapes back as the bytes they stand for.
+    """
+    return os.fsdecode(text.encode("utf-8", "surrogateescape"))
+
+
 def _json_floats(text: bytes, n: int) -> list[float] | None:
     """``text`` read by orjson as a JSON array's body, if that is ``n`` floats."""
     try:
@@ -130,7 +150,8 @@ def parse_ucr_file(path: str | Path) -> LabeledSeries:
     when present, otherwise the first.
     """
     path = Path(path)
-    parts = path.stem.split("_")
+    stem = utf8_name(path.stem)
+    parts = stem.split("_")
     if len(parts) < 4:
         raise MalformedNameError(
             f"{path.name}: expected '<name>_<trainEnd>_<anomStart>_<anomEnd>'"
@@ -182,7 +203,7 @@ def parse_ucr_file(path: str | Path) -> LabeledSeries:
         raise EmptySeriesError(f"{path.name}: file holds no values")
 
     return LabeledSeries(
-        id=path.stem,
+        id=stem,
         domain=domain,
         values=values,
         train_end=train_end,

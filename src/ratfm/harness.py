@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .dataset import LabeledSeries, Window, load_dataset, make_windows, standardize
+from .dataset import LabeledSeries, Window, load_dataset, make_windows, os_name, standardize
 from .errors import (
     ConfigError,
     DatasetError,
@@ -705,7 +705,7 @@ def emit_reports(report: EvalReport, out_dir: str | Path) -> dict[str, Path]:
     scores_dir.mkdir(exist_ok=True)
     for sid, dump in sorted(report.score_dumps.items()):
         dump_scores_csv(
-            scores_dir / f"{sid}.csv",
+            scores_dir / os_name(f"{sid}.csv"),
             sid,
             dump.t_absolute_start,
             dump.raw,

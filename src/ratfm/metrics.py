@@ -4,7 +4,10 @@ The threshold-free metrics are a deterministic, self-contained variant
 of volume-under-the-surface scoring: ground-truth spans are widened into
 continuous labels with a sqrt-decay buffer, a soft-weighted ROC / PR
 area is computed per buffer width, and the volume is the trapezoidal
-mean of those areas over the width sweep.
+mean of those areas over the width sweep.  Only points within the
+widest buffer of a span carry label mass, so per width the volume does
+full-length work only where its result is dense (see :func:`vus`); its
+areas equal a dense per-width evaluation's bit for bit.
 """
 
 from __future__ import annotations
@@ -95,13 +98,12 @@ def continuous_labels(truth: GroundTruth, width: int) -> np.ndarray:
         return np.zeros(len(truth.labels), dtype=np.float64)
     if width == 0:
         return truth.labels.astype(np.float64)
-    dist = _span_distances(truth)
+    dist = _span_distances(truth, np.arange(len(truth.labels)))
     return _decay(dist, width, out=dist)
 
 
-def _span_distances(truth: GroundTruth) -> np.ndarray:
-    """Each point's distance to the nearest span (0 inside one)."""
-    t = np.arange(len(truth.labels))
+def _span_distances(truth: GroundTruth, t: np.ndarray) -> np.ndarray:
+    """Each index in ``t``'s distance to the nearest span (0 inside one)."""
     dist = np.full(len(t), np.inf)
     for start, end in truth.spans:
         d = np.maximum(np.maximum(start - t, t - end), 0)
@@ -109,8 +111,11 @@ def _span_distances(truth: GroundTruth) -> np.ndarray:
     return dist
 
 
-def _decay(dist: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
-    """``sqrt(max(0, 1 - dist / width))`` elementwise, written into ``out``."""
+def _decay(dist: np.ndarray, width, out: np.ndarray) -> np.ndarray:
+    """``sqrt(max(0, 1 - dist / width))`` elementwise, written into ``out``.
+
+    ``width`` is an int or an array that broadcasts against ``dist``.
+    """
     np.divide(dist, width, out=out)
     np.subtract(1.0, out, out=out)
     np.maximum(out, 0.0, out=out)
@@ -121,11 +126,26 @@ def _sorted_blocks(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable descending argsort of ``scores`` and the tie-block ends.
 
     The block ends index, in sorted order, the last point of each run of
-    equal scores (ascending; the last is ``n - 1``).
+    equal scores (ascending; the last is ``n - 1``).  NaNs sort last and,
+    since ``NaN != NaN``, each is a block of its own.
+
+    numpy's default sort is a few times faster than its stable one and
+    leaves each run of equal scores contiguous, in no fixed order.  One
+    sort of int64 keys (run number, then index) restores index order
+    within the runs; for it the NaNs form one run.
     """
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(-scores)
     ranked = scores[order]
-    block_end = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    starts = ranked[1:] != ranked[:-1]
+    block_end = np.flatnonzero(np.append(starts, True))
+    starts[len(ranked) - np.count_nonzero(np.isnan(ranked)) :] = False
+    if not starts.all():
+        key = np.zeros(len(ranked), dtype=np.int64)
+        np.cumsum(starts, out=key[1:])
+        key *= len(ranked)
+        key += order
+        key.sort()
+        np.remainder(key, len(ranked), out=order)
     return order, block_end
 
 
@@ -152,8 +172,13 @@ def auc_weighted(scores: np.ndarray, soft_labels: np.ndarray, kind: str) -> floa
     if float(np.sum(1.0 - soft_labels)) <= 0.0:
         return 1.0
     order, block_end = _sorted_blocks(scores)
-    roc, pr = _kernels.weighted_areas(soft_labels[order], block_end)
+    plan = _kernels.AreaPlan(block_end, np.arange(len(scores)))
+    roc, pr = _kernels.weighted_areas(soft_labels[order], plan)
     return roc if kind == "roc" else pr
+
+
+# Bounds the (widths, near points) block of soft labels vus decays at once.
+_LABEL_BLOCK = 1 << 16
 
 
 def vus(
@@ -169,13 +194,25 @@ def vus(
     degenerates to the plain soft-label-free areas.  Each width's areas
     equal :func:`auc_weighted` on :func:`continuous_labels` bit for bit.
 
-    Everything that does not depend on the width is done once per call:
-    the scores are sorted and their tie blocks found, the span distances
-    and binary labels are permuted into descending-score order, and the
-    buffers are allocated.  A width then computes its soft labels in
-    sorted order (elementwise, so they equal the permuted labels) and its
-    areas in those buffers.  The labels lie in [0, 1], so the mass checks
-    are ``max > 0`` (some positive mass) and ``min < 1`` (some negative).
+    Distances to the spans are integers, so a point's label is non-zero
+    at some width only when it lies within ``max(w_max, 1) - 1`` of a
+    span: on an archive series, a few hundred of some 200 000 points.
+    The scores are sorted once, and those near points, their sorted
+    positions and their distances are found once.  Each width then
+    decays the near points' labels (many widths per numpy call) and
+    calls :func:`_kernels.weighted_areas`.  There, only the
+    false-positive cumulative sum and the two curves' gathers,
+    normalization and ROC trapezoid are full length; the true-positive
+    masses come from the near points, and the PR terms are computed
+    only at blocks that hold a near point.  Every other PR term is an
+    exact 0.0, so the zero-filled term array that is summed equals a
+    dense evaluation's, and so does its sum.  Width 0's binary labels are width 1's decay:
+    ``sqrt(max(0, 1 - d))`` is 1 at ``d = 0`` and 0 at any integer
+    ``d >= 1``.
+
+    The labels lie in [0, 1], so the mass checks need no labels: some
+    positive mass exists at every width if some point is in a span (at
+    distance 0), and no width has negative mass only if every point is.
     """
     if w_max < 0:
         raise ValueError(f"w_max must be >= 0, got {w_max}")
@@ -190,21 +227,31 @@ def vus(
     if not truth.spans:
         raise NoPositiveMassError("soft labels sum to zero")
     order, block_end = _sorted_blocks(values)
-    dist = _span_distances(truth)[order]
-    binary = truth.labels[order].astype(np.float64)
-    soft = np.empty(n)
-    work = np.empty((5, n + 1))
+    reach = max(w_max, 1)
+    close = np.zeros(n, dtype=bool)
+    for start, end in truth.spans:
+        close[max(start - reach + 1, 0) : max(end + reach, 0)] = True
+    near = np.flatnonzero(close[order])
+    # near distances are integers below ``reach``; int32 holds them exactly
+    # in half the bytes, and the decay divides them in float64
+    dist = _span_distances(truth, order[near]).astype(np.int32)
+    # the permutation is spent; free it before the plan's buffers exist
+    del order, close
+    if not len(near) or dist.min() > 0:
+        raise NoPositiveMassError("soft labels sum to zero")
+    if len(near) == n and dist.max() == 0:
+        return 1.0, 1.0
+    plan = _kernels.AreaPlan(block_end, near)
     widths = np.unique(np.rint(np.linspace(0.0, w_max, steps + 1)).astype(int))
     rocs = np.empty(len(widths))
     prs = np.empty(len(widths))
-    for i, w in enumerate(widths):
-        labels = binary if w == 0 else _decay(dist, int(w), out=soft)
-        if labels.max() <= 0.0:
-            raise NoPositiveMassError("soft labels sum to zero")
-        if labels.min() >= 1.0:
-            rocs[i] = prs[i] = 1.0
-        else:
-            rocs[i], prs[i] = _kernels.weighted_areas(labels, block_end, work)
+    rows = max(1, _LABEL_BLOCK // len(near))
+    soft = np.empty((min(rows, len(widths)), len(near)))
+    for lo in range(0, len(widths), rows):
+        scale = np.maximum(widths[lo : lo + rows, None], 1)
+        labels = _decay(dist, scale, out=soft[: len(scale)])
+        for i, row in enumerate(labels, lo):
+            rocs[i], prs[i] = _kernels.weighted_areas(row, plan)
     if len(widths) == 1:
         return float(rocs[0]), float(prs[0])
     span = float(widths[-1] - widths[0])

@@ -282,6 +282,44 @@ class TestRun:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+    def test_non_ascii_file_name_under_an_ascii_locale(self, tmp_path):
+        # an ASCII locale decodes a file name's bytes to surrogate escapes;
+        # the run reads them as UTF-8 and emits what a UTF-8 locale emits
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--domains", "2",
+                     "--series-per-domain", "2", "--train-len", "800",
+                     "--test-len", "600", "--seed", "3"]) == 0
+        root = os.fsencode(data)
+        first = sorted(os.listdir(root))[0]
+        renamed = "é".encode() + first
+        os.rename(os.path.join(root, first), os.path.join(root, renamed))
+        locales = {
+            "utf8": {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"},
+            "ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+        }
+        emitted = {}
+        for name, env in locales.items():
+            cwd = tmp_path / name
+            cwd.mkdir()
+            env = dict(os.environ, **env, PYTHONPATH=str(Path(ratfm.__file__).parents[1]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "ratfm.cli", "run", "--setting", "zero_shot_naive",
+                 "--dataset", str(data), "--budget", "128,32,128", "--out", "out"],
+                cwd=cwd, capture_output=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            out = cwd / "out"
+            emitted[name] = {
+                p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()
+            }
+            emitted[name + " stdout"] = proc.stdout
+        assert emitted["ascii"] == emitted["utf8"]
+        assert emitted["ascii stdout"] == emitted["utf8 stdout"]
+        score = Path("scores", os.fsdecode(renamed[: -len(b".txt")] + b".csv"))
+        assert len(emitted["ascii"]) == 7 and score in emitted["ascii"]
+        assert renamed[:-4] in emitted["ascii"][score]
+
+
 class TestSweepAndDiag:
     def test_sweep_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bootstrap_iterations=0)

@@ -49,13 +49,13 @@ class TestWeightedAreasKernel:
             order = np.argsort(-scores, kind="stable")
             ranked = scores[order]
             block_end = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
-            roc, pr = _kernels.weighted_areas(soft[order], block_end)
+            plan = _kernels.AreaPlan(block_end, np.arange(n))
+            roc, pr = _kernels.weighted_areas(soft[order], plan)
             assert roc == pytest.approx(auc_enum(scores, soft, "roc"), abs=1e-12)
             assert pr == pytest.approx(auc_enum(scores, soft, "pr"), abs=1e-12)
-            # a reused scratch array, dirty from a longer call, changes nothing
-            work = np.full((5, n + 8), np.nan)
-            _kernels.weighted_areas(rng.random(n + 7), np.arange(n + 7), work)
-            assert _kernels.weighted_areas(soft[order], block_end, work[:, : n + 1]) == (roc, pr)
+            # a reused plan, its buffers dirty from another call, changes nothing
+            _kernels.weighted_areas(rng.random(n), plan)
+            assert _kernels.weighted_areas(soft[order], plan) == (roc, pr)
 
 
 class TestLag0ScanKernel:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from ratfm.errors import EmptyInputError, LengthMismatchError, NoPositiveMassErr
 from ratfm.metrics import (
     EvalReport,
     GroundTruth,
+    _sorted_blocks,
     auc_weighted,
     bootstrap,
     continuous_labels,
@@ -150,6 +153,32 @@ class TestAucWeighted:
             auc_weighted(np.ones(2), np.ones(2), "nope")
 
 
+class TestSortedBlocks:
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan]),
+                st.floats(),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_equals_stable_argsort_and_inequality_blocks(self, values):
+        # heavy ties, NaNs (each its own block under !=), signed zeros and
+        # infinities; the sort that repairs tie order treats NaNs as one run
+        scores = np.array(values)
+        order, block_end = _sorted_blocks(scores)
+        expected = np.argsort(-scores, kind="stable")
+        ranked = scores[expected]
+        assert order.dtype == expected.dtype
+        assert np.array_equal(order, expected)
+        assert np.array_equal(
+            block_end, np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+        )
+
+
 class TestVus:
     def test_zero_width_equals_plain_aucs(self):
         rng = np.random.default_rng(4)
@@ -248,6 +277,33 @@ class TestVus:
         scores = np.round(rng.gamma(2.0, size=n), 3)
         gt = GroundTruth.from_spans([(-5, 40), (31_000, 31_180), (49_990, 50_020)], n)
         assert vus(scores, gt, w_max=150, steps=20) == vus_reference(scores, gt, 150, 20)
+
+    @pytest.mark.parametrize("decimals", [None, 2])
+    def test_archive_scale_matches_frozen_reference_bitwise(self, decimals):
+        # an archive-sized series with one short anomaly; rounding forces ties
+        n = 200_000
+        scores = np.random.default_rng(22).random(n)
+        if decimals is not None:
+            scores = np.round(scores, decimals)
+        gt = GroundTruth.from_spans([(150_000, 150_039)], n)
+        assert vus(scores, gt, w_max=96, steps=20) == vus_reference(scores, gt, 96, 20)
+
+    @pytest.mark.parametrize("span", [(120_000, 120_039), (0, 149_999), (0, 199_999)])
+    def test_archive_scale_in_bounded_memory(self, span):
+        # the dense per-width evaluation peaked at ten float64 arrays of n
+        # points, whatever the span; the near-span one stays below it
+        n = 200_000
+        scores = np.random.default_rng(23).random(n)
+        gt = GroundTruth.from_spans([span], n)
+        expected = vus(scores, gt, w_max=96, steps=20)
+        tracemalloc.start()
+        try:
+            got = vus(scores, gt, w_max=96, steps=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 10 * n * 8
 
     def test_random_scores_near_half(self):
         rng = np.random.default_rng(6)
