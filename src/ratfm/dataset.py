@@ -40,8 +40,8 @@ class LabeledSeries:
 
     ``train_end`` is the exclusive end of the anomaly-free training
     region; ``anomaly_spans`` holds inclusive (start, end) index pairs
-    that must lie inside the test region.  Instances are immutable and
-    safe to share across workers; ``values`` is marked read-only.
+    that must lie inside the test region.  Instances are immutable, so
+    a caller's threads may share them; ``values`` is marked read-only.
     """
 
     id: str
@@ -147,10 +147,15 @@ def parse_ucr_file(path: str | Path) -> LabeledSeries:
     The filename stem must end in three integers (train end, anomaly
     start, anomaly end); extra trailing integers beyond three are kept
     as part of the name.  The domain label is the second leading token
-    when present, otherwise the first.
+    when present, otherwise the first.  A file name whose bytes are not
+    UTF-8 is a :class:`DatasetError`.
     """
     path = Path(path)
     stem = utf8_name(path.stem)
+    try:
+        stem.encode("utf-8")
+    except UnicodeEncodeError as exc:  # the id names output files and reports
+        raise DatasetError(f"{path}: file name is not UTF-8") from exc
     parts = stem.split("_")
     if len(parts) < 4:
         raise MalformedNameError(

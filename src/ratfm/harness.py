@@ -16,7 +16,6 @@ import logging
 import math
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -94,6 +93,9 @@ class ExperimentConfig:
     pool_fraction: float = 1.0
     retrieval_region: str = "train"
     period_source: str = "train"
+    # accepted, validated and written to config.json, but every run is on
+    # the calling thread: the benchmark's consumers_default workload still
+    # sets it, and deleting it is a change to that benchmark
     workers: int = 1
     out_dir: str = "ratfm_out"
 
@@ -191,7 +193,8 @@ class PreparedRun:
     It serves only ``config``, compared as the report's config snapshot
     (``out_dir`` may differ): another config is a :class:`ConfigError`.
     ``pools`` is keyed by domain and filled under ``_lock`` by
-    :func:`_domain_pool` on each domain's first retrieval.
+    :func:`_domain_pool` on each domain's first retrieval, so a caller's
+    threads may share one prepared run.
     ``_examples`` holds each series' windows and, per pool fraction,
     their retrieved examples, filled lazily by :func:`_retrieved` so
     that every retrieval consumer of the run cuts a series' windows and
@@ -318,9 +321,9 @@ def _retrieved(
     message of the :class:`RatfmError` retrieval raised.
     Examples are cached per prepared run, series, region and fraction,
     windows without the fraction; only fractions not cached yet are
-    retrieved.  No lock is held while retrieving: series ids are unique,
-    so two threads fill the same entry only when two runs share ``data``
-    at once, and both then store the same examples.
+    retrieved.  No lock is held while retrieving: two threads fill the
+    same entry only when a caller runs two consumers on one ``data`` at
+    once, and both then store the same examples.
     """
     key = (series.id, region)
     if key not in data._examples:
@@ -347,31 +350,20 @@ def _retrieved(
     return windows, [data._examples[key + (f,)] for f in fractions]
 
 
-def _map(config: ExperimentConfig, fn, items: list) -> list:
-    """``[fn(x) for x in items]``, on ``config.workers`` threads when > 1."""
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool_exec:
-            return list(pool_exec.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _train_forecaster(data: PreparedRun) -> tuple[LinearForecaster, dict]:
     """Fit the linear forecaster on retrieval-augmented training contexts.
 
     Windows whose retrieval failed are left out.
     """
     config = data.config
-
-    def series_contexts(series: LabeledSeries) -> list:
+    contexts = []
+    for series in data.series:
         windows, (examples,) = _retrieved(data, series, "train")
-        return [
+        contexts += [
             assemble_context(w, example, config.budget)
             for w, example in zip(windows, examples)
             if not isinstance(example, str)
         ]
-
-    per_series = _map(config, series_contexts, data.series)
-    contexts = [ctx for ctxs in per_series for ctx in ctxs]
     try:
         forecaster, final_mse = train_linear(contexts, config.ridge_reg)
     except EmptyTrainingSetError as exc:
@@ -504,8 +496,8 @@ def _evaluate(
     of each domain pool, as :func:`_retrieved` picks them.
     """
     config = data.config
-
-    def eval_one(series: LabeledSeries):
+    for series in data.series:
+        sid = series.id
         try:
             if report.setting == "zero_shot_naive":
                 windows, examples = _windows(config, series, "test"), None
@@ -515,20 +507,14 @@ def _evaluate(
                 series,
                 config,
                 report.setting,
-                data.periods[series.id],
+                data.periods[sid],
                 windows,
                 examples,
                 trained,
             )
-            return series.id, rec, dump, None
         except RatfmError as exc:
-            return series.id, None, None, str(exc)
-
-    results = _map(config, eval_one, data.series)
-    for sid, rec, dump, err in results:
-        if err is not None:
-            logger.warning("skipping %s: %s", sid, err)
-            report.skipped[sid] = err
+            logger.warning("skipping %s: %s", sid, exc)
+            report.skipped[sid] = str(exc)
             continue
         report.per_series[sid] = rec
         report.score_dumps[sid] = dump
@@ -594,7 +580,8 @@ def sweep_pool_fraction(
     if setting == "ratfm_linear":
         trained, _ = _train_forecaster(data)
     if setting != "zero_shot_naive":
-        _map(config, lambda s: _retrieved(data, s, "test", fractions), data.series)
+        for s in data.series:
+            _retrieved(data, s, "test", fractions)
     result = SweepResult(setting=setting, rows=[])
     for fraction in fractions:
         report = EvalReport(setting=setting, config=config.to_dict())
@@ -645,14 +632,14 @@ def similarity_diagnostics(
 
     Examples come from the same per-run cache as :func:`run_setting`, so
     after a retrieval setting ran on ``data`` nothing is retrieved again.
-    Series are spread over ``config.workers`` threads; the sums run in
-    series order, so the result does not depend on the worker count.
+    The sums run in series and window order.
     """
     data = _prepared(config, data)
     te, h, tt = config.budget
-
-    def series_similarities(series: LabeledSeries) -> list[tuple[float, float, float]]:
-        out = []
+    sums: dict[str, np.ndarray] = {}
+    counts: dict[str, int] = {}
+    for series in data.series:
+        dom = series.domain
         windows, (examples,) = _retrieved(data, series, "test")
         for w, example in zip(windows, examples):
             if isinstance(example, str):
@@ -665,17 +652,8 @@ def similarity_diagnostics(
                 continue
             if c < -1.0:
                 continue
-            out.append((a, b, c))
-        return out
-
-    per_series = _map(config, series_similarities, data.series)
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
-    for series, sims in zip(data.series, per_series):
-        dom = series.domain
-        for abc in sims:
             sums.setdefault(dom, np.zeros(3))
-            sums[dom] += abc
+            sums[dom] += (a, b, c)
             counts[dom] = counts.get(dom, 0) + 1
 
     per_domain = {dom: _mean_similarities(sums[dom], counts[dom]) for dom in sorted(sums)}

@@ -319,6 +319,41 @@ class TestRun:
         assert len(emitted["ascii"]) == 7 and score in emitted["ascii"]
         assert renamed[:-4] in emitted["ascii"][score]
 
+    def test_file_name_that_is_not_utf8_is_a_dataset_error(self, tmp_path):
+        # a Latin-1 name keeps a surrogate escape in any locale, and no
+        # report, CSV or score file name can be written with one
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--domains", "2",
+                     "--series-per-domain", "2", "--train-len", "800",
+                     "--test-len", "600", "--seed", "3"]) == 0
+        root = os.fsencode(data)
+        first = sorted(os.listdir(root))[0]
+        renamed = "é".encode("latin-1") + first
+        os.rename(os.path.join(root, first), os.path.join(root, renamed))
+        locales = {
+            "utf8": {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"},
+            "ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+        }
+        commands = {
+            "ingest": ["ingest", str(data), "--out", "meta/series.json"],
+            "run": ["run", "--setting", "zero_shot_naive", "--dataset", str(data),
+                    "--budget", "128,32,128", "--out", "out"],
+        }
+        for name, env in locales.items():
+            env = dict(os.environ, **env, PYTHONPATH=str(Path(ratfm.__file__).parents[1]))
+            for command, args in commands.items():
+                cwd = tmp_path / f"{name}_{command}"
+                cwd.mkdir()
+                proc = subprocess.run(
+                    [sys.executable, "-m", "ratfm.cli", *args],
+                    cwd=cwd, capture_output=True, env=env, timeout=120,
+                )
+                assert proc.returncode == 3, proc.stderr
+                assert b"dataset error: " in proc.stderr
+                assert b"file name is not UTF-8" in proc.stderr
+                assert b"Traceback" not in proc.stderr
+                assert list(cwd.iterdir()) == []
+
 
 class TestSweepAndDiag:
     def test_sweep_csv(self, tmp_path, capsys):

@@ -52,6 +52,15 @@ def domain_pools(data):
     return {dom: harness._domain_pool(data, dom) for dom in domains}
 
 
+def forbid_threads(monkeypatch):
+    """Make starting any thread raise: a run must stay on the calling thread."""
+
+    def start(thread):
+        raise AssertionError(f"a run started thread {thread.name!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+
+
 def subsampled(cfg, data, fraction):
     """``data`` with every pool passed through ``subsample_pool``."""
     pools = {
@@ -343,18 +352,13 @@ class TestSharedRetrieval:
     """Every consumer of a prepared run scores a test query once."""
 
     def test_copy_linear_diagnostics_score_each_test_window_once(self, monkeypatch):
-        # more workers than a small host's CPUs, switching threads often
+        # workers is accepted and changes nothing
         cfg = config(workers=4)
         data = prepare_run(cfg)
         calls = spy_scores(monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            run_setting(cfg, "ratfm_copy", data=data)
-            run_setting(cfg, "ratfm_linear", data=data)
-            similarity_diagnostics(cfg, data=data)
-        finally:
-            sys.setswitchinterval(interval)
+        run_setting(cfg, "ratfm_copy", data=data)
+        run_setting(cfg, "ratfm_linear", data=data)
+        similarity_diagnostics(cfg, data=data)
         counts = collections.Counter(calls)
         assert retrieval_queries(cfg, data) <= set(counts)
         assert max(counts.values()) == 1  # training queries included
@@ -426,14 +430,9 @@ class TestSharedRetrieval:
 
         monkeypatch.setattr(harness, "make_windows", spy)
         data = prepare_run(cfg)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            run_setting(cfg, "ratfm_copy", data=data)
-            run_setting(cfg, "ratfm_linear", data=data)
-            similarity_diagnostics(cfg, data=data)
-        finally:
-            sys.setswitchinterval(interval)
+        run_setting(cfg, "ratfm_copy", data=data)
+        run_setting(cfg, "ratfm_linear", data=data)
+        similarity_diagnostics(cfg, data=data)
         ids = [s.id for s in data.series]
         expected = {(sid, region, h, h) for sid in ids for region in ("test", "train")}
         assert collections.Counter(calls) == dict.fromkeys(expected, 1)
@@ -496,12 +495,7 @@ class TestPrunedRetrieval:
             config=cfg, series=data.series, periods=data.periods, pools=pools
         )
         fractions = (1.0, 0.5, 0.1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            sweep_pool_fraction(cfg, list(fractions), data=data)
-        finally:
-            sys.setswitchinterval(interval)
+        sweep_pool_fraction(cfg, list(fractions), data=data)
         n_ties = 0
         for s in data.series:
             pool = pools[s.domain]
@@ -592,23 +586,25 @@ class TestRunSetting:
         b = run_setting(cfg, "ratfm_copy").to_json()
         assert a == b
 
-    def test_workers_do_not_change_results(self):
+    def test_workers_do_not_change_results(self, monkeypatch):
         cfg = config()
         seq = run_setting(cfg, "zero_shot_naive").to_json()
+        forbid_threads(monkeypatch)
         par = run_setting(config(workers=4), "zero_shot_naive").to_json()
         assert seq == par
 
     @pytest.mark.parametrize("setting", ["ratfm_copy", "ratfm_linear"])
-    def test_workers_do_not_change_retrieval_results(self, setting):
-        # ratfm_linear also pins the order of the parallel training contexts
+    def test_workers_do_not_change_retrieval_results(self, setting, monkeypatch):
+        # ratfm_linear also pins the order of the training contexts
         seq = run_setting(config(), setting).to_json()
+        forbid_threads(monkeypatch)
         for workers in (2, 4):
             assert run_setting(config(workers=workers), setting).to_json() == seq
 
     @pytest.mark.parametrize("setting", ["zero_shot_naive", "ratfm_linear"])
     def test_workers_leave_warning_filters_alone(self, setting):
-        # warning filters are process-wide: a worker thread that enters and
-        # leaves catch_warnings can restore another worker's "ignore"
+        # warning filters are process-wide: a run that enters and leaves
+        # catch_warnings can restore the "ignore" of a run on another thread
         before = list(warnings.filters)
         for _ in range(3):
             run_setting(config(workers=4), setting)
@@ -804,8 +800,9 @@ class TestSweep:
         kept = similarity_diagnostics(cfg, data=sub).overall["n_windows"]
         assert kept == full - sum(n_windows[sid] for sid in owners)
 
-    def test_workers_do_not_change_results(self):
+    def test_workers_do_not_change_results(self, monkeypatch):
         seq = sweep_pool_fraction(config(), [1.0, 0.5])
+        forbid_threads(monkeypatch)
         par = sweep_pool_fraction(config(workers=4), [1.0, 0.5])
         assert seq.rows == par.rows
         for f in (1.0, 0.5):
@@ -836,8 +833,9 @@ class TestDiagnostics:
         assert abs(a - b) < 0.05
         assert b > 0.9
 
-    def test_workers_do_not_change_results(self):
+    def test_workers_do_not_change_results(self, monkeypatch):
         seq = similarity_diagnostics(config()).to_dict()
+        forbid_threads(monkeypatch)
         par = similarity_diagnostics(config(workers=4)).to_dict()
         assert json.dumps(seq, sort_keys=True) == json.dumps(par, sort_keys=True)
 
