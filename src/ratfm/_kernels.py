@@ -17,13 +17,25 @@ from __future__ import annotations
 import numpy as np
 
 
+# outputs per block of sma_trailing's full windows: the block's 256 KiB of
+# sums and the ~256 KiB of input its lags read stay in a 2 MiB L2.  On
+# 200 000 points, window 96, best of 7: 8.7 ms at 8 192 outputs, 5.9 ms at
+# 32 768, 5.8 ms at 65 536 and 14.7 ms in one block
+_SMA_BLOCK = 1 << 15
+
+
 def sma_trailing(values: np.ndarray, window: int) -> np.ndarray:
     """Trailing mean over ``window`` points, partial at the head.
 
-    Costs O(n * window): ``window`` vector additions over the series,
-    since the pinned summation order rules out a running sum.  One call
-    on 1e6 points with window 1000 takes 0.86-0.92 s (five calls, 2-CPU
-    Xeon VM, numpy 2.4).
+    Costs O(n * window), since the pinned summation order rules out a
+    running sum.  The full windows are summed in blocks of
+    :data:`_SMA_BLOCK` outputs, each block adding its ``window`` lagged
+    slices newest first, so the block's sums and inputs stay in cache;
+    one pass per lag over the whole series would read the series and the
+    sums from memory ``window`` times.  One call on 1e6 points with
+    window 1000 took 0.35-0.38 s, against 0.82-0.83 s in one pass per
+    lag (fastest and median of 5, 2-CPU Xeon VM with 2 MiB of L2 per
+    core, numpy 2.4).
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = window
@@ -35,12 +47,15 @@ def sma_trailing(values: np.ndarray, window: int) -> np.ndarray:
         out[i:head] += values[: head - i]
     if head:
         out[:head] /= np.arange(1, head + 1, dtype=np.float64)
-    if size >= n:
-        main = np.zeros(size - n + 1, dtype=np.float64)
+    sums = np.empty(min(_SMA_BLOCK, max(size - n + 1, 0)), dtype=np.float64)
+    for lo in range(n - 1, size, _SMA_BLOCK):
+        hi = min(lo + _SMA_BLOCK, size)
+        block = sums[: hi - lo]
         # full windows: newest sample first
+        block.fill(0.0)
         for i in range(n):
-            main += values[n - 1 - i : size - i]
-        out[n - 1 :] = main / n
+            block += values[lo - i : hi - i]
+        np.divide(block, n, out=out[lo:hi])
     return out
 
 

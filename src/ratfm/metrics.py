@@ -242,7 +242,10 @@ def vus(
     if len(near) == n and dist.max() == 0:
         return 1.0, 1.0
     plan = _kernels.AreaPlan(block_end, near)
-    widths = np.unique(np.rint(np.linspace(0.0, w_max, steps + 1)).astype(int))
+    # rounded from an increasing grid, so sorted: keep the first of each run
+    # of equal widths (np.unique would import numpy.ma, 10-15 ms, per run)
+    grid = np.rint(np.linspace(0.0, w_max, steps + 1)).astype(int)
+    widths = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     rocs = np.empty(len(widths))
     prs = np.empty(len(widths))
     rows = max(1, _LABEL_BLOCK // len(near))

@@ -127,6 +127,27 @@ class TestSynthIngest:
 
 
 class TestRun:
+    def test_runs_leave_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports numpy.ma (10-15 ms and ~1.2 MB); a fresh
+        # process shows whether any run step still reaches it
+        script = (
+            "import sys\n"
+            "from ratfm.cli import main\n"
+            "out = sys.argv[1]\n"
+            "assert main(['synth', '--out', out + '/ds', '--domains', '2',\n"
+            "             '--series-per-domain', '2', '--train-len', '800',\n"
+            "             '--test-len', '600']) == 0\n"
+            "for setting in ('zero_shot_naive', 'ratfm_copy'):\n"
+            "    assert main(['run', '--setting', setting, '--dataset', out + '/ds',\n"
+            "                 '--budget', '128,32,128', '--out', out + '/' + setting]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'a run imported numpy.ma'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ratfm.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "ratfm_copy" / "report.json").is_file()
+
     def test_run_writes_reports(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

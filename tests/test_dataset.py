@@ -293,14 +293,16 @@ class TestParse:
 
     def test_300k_tokens_in_bounded_memory(self, tmp_path):
         # the split tokens of all 300 000 lines, parsed in 65 536-token
-        # chunks, peaked near 30 MB; 1 MiB chunks of lines peak near 14 MB
+        # chunks, peaked near 30 MB; 1 MiB chunks of lines near 14 MB, and
+        # 128 KiB chunks near 11 MB, most of it the file's bytes and values
         assert_parses_in_bounded_memory(tmp_path, "\n")
 
     def test_300k_crlf_lines_in_bounded_memory(self, tmp_path):
         assert_parses_in_bounded_memory(tmp_path, "\r\n")
 
     def test_300k_tokens_on_one_line_in_bounded_memory(self, tmp_path):
-        # the line is cut at blanks into ~1 MiB chunks; peaks near 17 MB
+        # the line is cut at blanks into ~128 KiB chunks; peaks near 11 MB
+        # (near 17 MB at 1 MiB chunks)
         assert_parses_in_bounded_memory(tmp_path, " ")
 
     def test_load_dataset_sorted(self, tmp_path):

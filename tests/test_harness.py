@@ -19,8 +19,22 @@ import ratfm.harness as harness
 import ratfm.retrieval as retrieval
 from oracles import exhaustive_best, exhaustive_scores
 from ratfm.dataset import make_windows
-from ratfm.errors import ConfigError, DatasetError, InvalidFractionError, RatfmError
-from ratfm.forecast import Budget
+from ratfm.errors import (
+    ConfigError,
+    DatasetError,
+    InvalidFractionError,
+    PeriodTooLongError,
+    RatfmError,
+)
+from ratfm.forecast import (
+    Budget,
+    ExampleCopyForecaster,
+    LinearForecaster,
+    SeasonalNaiveForecaster,
+    assemble_context,
+    forecast,
+    zero_shot_context,
+)
 from ratfm.harness import (
     ExperimentConfig,
     PreparedRun,
@@ -32,6 +46,7 @@ from ratfm.harness import (
 )
 from ratfm.metrics import EvalReport
 from ratfm.retrieval import retrieve_best, subsample_pool
+from ratfm.scoring import anomaly_scores
 from ratfm.synth import DomainTemplate, SynthSpec, write_synthetic
 
 # small desk-scale benchmark reused across tests
@@ -719,6 +734,85 @@ class TestRunSetting:
             report = run_setting(big, "zero_shot_naive")
         assert report.overall["n_series"] == 0
         assert len(report.skipped) == 8
+
+
+def per_window_raw(series, budget, forecaster, windows, examples):
+    """Raw scores of ``series`` forecast, scored and summed one window at a time."""
+    h, total = budget.horizon, budget.total
+    acc = np.zeros(len(series.values) - series.train_end)
+    cnt = np.zeros(len(acc), dtype=np.int64)
+    for i, w in enumerate(windows):
+        if examples is None:
+            ctx = zero_shot_context(w, budget)
+        else:
+            ctx = assemble_context(w, examples[i], budget)
+        local = w.start + total - series.train_end
+        acc[local : local + h] += anomaly_scores(forecast(forecaster, ctx), w.future)
+        cnt[local : local + h] += 1
+    scored = np.flatnonzero(cnt)
+    return acc[scored[0] : scored[-1] + 1] / cnt[scored[0] : scored[-1] + 1]
+
+
+class TestSeriesAtATime:
+    """``_eval_series`` forecasts and scores a block of windows at once."""
+
+    ROWS = 5  # windows per block, so every series spans many blocks
+
+    def case(self, monkeypatch, stride):
+        cfg = config(eval_stride=stride, bootstrap_iterations=0)
+        monkeypatch.setattr(harness, "_EVAL_BLOCK_POINTS", self.ROWS * BUDGET.horizon)
+        data = prepare_run(cfg)
+        series = data.series[0]
+        windows = harness._windows(cfg, series, "test")
+        assert len(windows) > 2 * self.ROWS
+        # any in-domain windows serve as examples; retrieval is not under test
+        pool = make_windows(data.series[1], "train", BUDGET.example_len, BUDGET.horizon, 5)
+        picks = np.random.default_rng(stride).integers(0, len(pool), len(windows))
+        return cfg, series, data.periods[series.id], windows, [pool[i] for i in picks]
+
+    @pytest.mark.parametrize("stride", [1, BUDGET.horizon - 1, BUDGET.horizon])
+    @pytest.mark.parametrize("setting", harness.SETTINGS)
+    def test_raw_scores_equal_a_per_window_loop(self, monkeypatch, setting, stride):
+        # overlapping windows (a stride below the horizon) add several terms
+        # to one point, which must be summed in window order
+        cfg, series, period, windows, examples = self.case(monkeypatch, stride)
+        if setting == "zero_shot_naive":
+            examples, forecaster = None, SeasonalNaiveForecaster(period)
+        elif setting == "ratfm_copy":
+            forecaster = ExampleCopyForecaster()
+        else:
+            weights = np.random.default_rng(5).standard_normal((BUDGET.horizon, BUDGET.total + 1))
+            forecaster = LinearForecaster(weights / BUDGET.total, BUDGET)
+        _, dump = harness._eval_series(
+            series, cfg, setting, period, windows, examples, forecaster
+        )
+        expected = per_window_raw(series, BUDGET, forecaster, windows, examples)
+        assert dump.raw.tobytes() == expected.tobytes()
+
+    def test_first_failed_retrieval_is_raised(self, monkeypatch):
+        cfg, series, period, windows, examples = self.case(monkeypatch, BUDGET.horizon)
+        examples[2 * self.ROWS + 1] = "second"
+        examples[self.ROWS + 3] = "first"
+        with pytest.raises(RatfmError, match="^first$"):
+            harness._eval_series(series, cfg, "ratfm_copy", period, windows, examples, None)
+
+    def test_non_finite_forecast_before_a_failed_retrieval_is_raised(self, monkeypatch):
+        cfg, series, period, windows, examples = self.case(monkeypatch, BUDGET.horizon)
+        examples[self.ROWS + 3] = "failed"
+        weights = np.zeros((BUDGET.horizon, BUDGET.total + 1))
+        weights[0, -1] = np.nan
+        trained = LinearForecaster(weights, BUDGET)
+        with pytest.raises(ValueError, match="linear produced non-finite values"):
+            harness._eval_series(
+                series, cfg, "ratfm_linear", period, windows, examples, trained
+            )
+
+    def test_period_longer_than_the_target_input_is_raised(self, monkeypatch):
+        cfg, series, _, windows, _ = self.case(monkeypatch, BUDGET.horizon)
+        with pytest.raises(PeriodTooLongError, match="exceeds target input length"):
+            harness._eval_series(
+                series, cfg, "zero_shot_naive", BUDGET.total + 1, windows, None, None
+            )
 
 
 class TestSweep:

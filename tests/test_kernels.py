@@ -14,6 +14,21 @@ class TestSmaKernel:
             assert np.array_equal(_kernels.sma_trailing(values, n), sma_formula(values, n))
 
 
+    @pytest.mark.parametrize("block", [16, _kernels._SMA_BLOCK])
+    def test_blocks_match_formula_bitwise_at_block_edges(self, monkeypatch, block):
+        # the full windows are summed a block of outputs at a time; every
+        # length around a block edge and every window up past one block
+        # must still give the formula's bits
+        monkeypatch.setattr(_kernels, "_SMA_BLOCK", block)
+        rng = np.random.default_rng(3)
+        windows = (1, 7, block + 3) if block < 100 else (1, 7)
+        for size in (block - 1, block, block + 1, 3 * block + 5):
+            values = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+            for n in windows:
+                got = _kernels.sma_trailing(values, n)
+                assert got.tobytes() == sma_formula(values, n).tobytes(), (size, n)
+
+
 class TestBestLagKernel:
     def _priority_best(self, cc):
         half = (len(cc) - 1) // 2

@@ -254,6 +254,27 @@ class TestCsvDump:
         expected = (tmp_path / "ref.csv").read_bytes()
         assert (tmp_path / "fast.csv").read_bytes() == expected
 
+    @pytest.mark.parametrize("chunk", [1, 7, scoring._CSV_CHUNK_ROWS, 32_768])
+    def test_bytes_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, chunk):
+        # odd values (written by repr between orjson's runs) on, before and
+        # after every edge of the shipped chunks and of 7-row chunks
+        n = 3 * scoring._CSV_CHUNK_ROWS + 5
+        rng = np.random.default_rng(14)
+        raw = np.abs(rng.standard_normal(n))
+        smoothed = sma_smooth(raw, 5)
+        odd = [np.nan, np.inf, -np.inf, 1e-7, 3e17, -0.0, 5e-324]
+        edges = [*range(0, n, 7), *range(0, n, scoring._CSV_CHUNK_ROWS)]
+        for k, edge in enumerate(edges):
+            for at in (edge - 1, edge, edge + 1):
+                if 0 <= at < n:
+                    raw[at] = odd[(k + at) % len(odd)]
+                    smoothed[at] = odd[(k + 2 * at) % len(odd)]
+        args = ("s", 11, raw, smoothed, smoothed > 1.0, 0.75)
+        per_row_csv(tmp_path / "ref.csv", *args)
+        monkeypatch.setattr(scoring, "_CSV_CHUNK_ROWS", chunk)
+        dump_scores_csv(tmp_path / "fast.csv", *args)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_200k_rows_in_bounded_memory(self, tmp_path):
         n = 200_000
         raw = np.abs(np.random.default_rng(13).standard_normal(n))
@@ -266,7 +287,8 @@ class TestCsvDump:
         finally:
             tracemalloc.stop()
         # holding the whole file's text and row strings at once peaks near
-        # 45 MB; 32 768-row chunks of tuples for orjson near 13 MB
+        # 45 MB; 32 768-row chunks of tuples for orjson near 13 MB, 2 048-row
+        # chunks near 1 MB
         assert peak < 20 * 2**20
 
     def test_bytes_match_csv_writer_at_notation_edges(self, tmp_path, monkeypatch):
