@@ -269,6 +269,26 @@ def make_windows(
     ``floor((region_len - input_len - horizon) / stride) + 1``.  A region
     too short for a single window yields an empty list.
     """
+    span = input_len + horizon
+    return [
+        Window(
+            series_id=series.id,
+            start=start,
+            input=series.values[start : start + input_len],
+            future=series.values[start + input_len : start + span],
+        )
+        for start in window_starts(series, region, input_len, horizon, stride)
+    ]
+
+
+def window_starts(
+    series: LabeledSeries,
+    region: str,
+    input_len: int,
+    horizon: int,
+    stride: int,
+) -> range:
+    """The absolute starts of :func:`make_windows`'s windows, in order."""
     if input_len < 1 or horizon < 1 or stride < 1:
         raise ValueError("input_len, horizon and stride must all be >= 1")
     if region == "train":
@@ -277,20 +297,7 @@ def make_windows(
         lo, hi = series.train_end, len(series.values)
     else:
         raise ValueError(f"unknown region {region!r}")
-
-    span = input_len + horizon
-    windows = []
-    for offset in range(0, hi - lo - span + 1, stride):
-        start = lo + offset
-        windows.append(
-            Window(
-                series_id=series.id,
-                start=start,
-                input=series.values[start : start + input_len],
-                future=series.values[start + input_len : start + span],
-            )
-        )
-    return windows
+    return range(lo, hi - input_len - horizon + 1, stride)
 
 
 def load_dataset(root: str | Path) -> list[LabeledSeries]:

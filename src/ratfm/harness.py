@@ -22,7 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .dataset import LabeledSeries, Window, load_dataset, make_windows, os_name, standardize
+from .dataset import (
+    LabeledSeries,
+    Window,
+    load_dataset,
+    make_windows,
+    os_name,
+    standardize,
+    window_starts,
+)
 from .errors import (
     ConfigError,
     DatasetError,
@@ -391,25 +399,28 @@ def _eval_series(
     config: ExperimentConfig,
     setting: str,
     period: int,
-    windows: list[Window],
+    windows: list[Window] | None,
     examples: list[Window | str] | None,
     trained: Forecaster | None,
 ) -> tuple[dict, ScoreDump]:
     """Score one series from its test windows and, for the retrieval
     settings, their examples as :func:`_retrieved` returns them.
 
-    Windows are forecast and scored a block at a time, in window order,
-    and the raw scores equal a per-window loop's bit for bit.  A failed
-    retrieval is raised after the windows before it are scored, so an
-    earlier window's error comes first."""
+    Only ``ratfm_linear`` reads the windows themselves; the other
+    settings need only their starts (:func:`window_starts`) and may pass
+    ``None``.  Windows are forecast and scored a block at a time, in
+    window order, and the raw scores equal a per-window loop's bit for
+    bit.  A failed retrieval is raised after the windows before it are
+    scored, so an earlier window's error comes first."""
     budget = config.budget
     h = budget.horizon
     total = budget.total
-    if not windows:
+    starts = window_starts(series, "test", total, h, _eval_stride(config))
+    if not starts:
         raise RatfmError("test region too short for the configured budget")
 
     test = series.test_values
-    n = len(windows)
+    n = len(starts)
     if examples is None:
         if period > total:
             raise PeriodTooLongError(f"period {period} exceeds target input length {total}")
@@ -421,7 +432,7 @@ def _eval_series(
         # windows after the first failed retrieval are never scored
         n = next((i for i, e in enumerate(examples) if isinstance(e, str)), n)
     # where each window's future starts in the test region
-    future = np.fromiter((w.start for w in windows[:n]), np.intp, n)
+    future = np.array(starts[:n], dtype=np.intp)
     future += total - series.train_end
     steps = np.arange(h)
     acc = np.zeros(len(test))
@@ -449,7 +460,7 @@ def _eval_series(
         np.abs(scores, out=scores)
         np.add.at(acc, pos, scores)
         np.add.at(cnt, pos, 1)
-    if n < len(windows):
+    if n < len(starts):
         raise RatfmError(examples[n])
 
     scored = cnt > 0
@@ -477,7 +488,7 @@ def _eval_series(
         "vus_pr": vus_pr,
         "threshold": threshold,
         "period": period,
-        "n_windows": len(windows),
+        "n_windows": len(starts),
         "offset": offset,
     }
     dump = ScoreDump(
@@ -533,7 +544,7 @@ def _evaluate(
         sid = series.id
         try:
             if report.setting == "zero_shot_naive":
-                windows, examples = _windows(config, series, "test"), None
+                windows, examples = None, None
             else:
                 windows, (examples,) = _retrieved(data, series, "test", (fraction,))
             rec, dump = _eval_series(

@@ -66,7 +66,11 @@ def estimate_period(train_values: np.ndarray) -> PeriodEstimate:
     The peak bin of the mean-removed spectrum is refined by a fine
     frequency grid around it (a true sinusoid's period need not divide
     the signal length, so the integer bin alone can be off by one) and
-    converted to ``round(N / f)``, clamped to [2, N // 2].  A peak whose
+    converted to ``round(N / f)``, clamped to [2, N // 2].  The grid is
+    searched only when it could change that period, that is when the
+    periods 1.2 bins either side of the peak differ.  On long series a
+    bin moves N / f by a small fraction of a period, so the search still
+    runs there only for periods near a half-integer.  A peak whose
     magnitude is below :data:`DEFAULT_DOMINANCE_THRESHOLD` times the mean
     magnitude marks the signal as aperiodic and falls back to
     :data:`DEFAULT_FALLBACK_PERIOD`.
@@ -89,10 +93,30 @@ def estimate_period(train_values: np.ndarray) -> PeriodEstimate:
         return PeriodEstimate(
             period=DEFAULT_FALLBACK_PERIOD, dominance=dominance, fallback_used=True
         )
-    freq = _refine_peak(centered, k_star)
-    period = int(round(n / freq))
-    period = max(2, min(period, n // 2))
+    period = _settled_period(n, k_star)
+    if period is None:
+        period = _clamped_period(n, _refine_peak(centered, k_star))
     return PeriodEstimate(period=period, dominance=dominance, fallback_used=False)
+
+
+def _clamped_period(n: int, freq: float) -> int:
+    """``round(n / freq)`` clamped to [2, n // 2]."""
+    return max(2, min(int(round(n / freq)), n // 2))
+
+
+def _settled_period(n: int, k_star: int) -> int | None:
+    """The period every refinement of bin ``k_star`` gives, if they agree.
+
+    :func:`_refine_peak` returns a frequency within ``k_star`` +/- 1.1
+    bins (+/- 1, then +/- 0.1 around the first winner), clipped to
+    [0.5, n / 2]; +/- 1.2 covers the grids' round-off too.  The clamped
+    rounded period does not increase with the frequency, so if both ends
+    of that range give the same period, every frequency inside gives it.
+    Otherwise the range straddles a rounding boundary: None.
+    """
+    longest = _clamped_period(n, max(k_star - 1.2, 0.5))
+    shortest = _clamped_period(n, min(k_star + 1.2, n / 2))
+    return longest if longest == shortest else None
 
 
 def _refine_peak(centered: np.ndarray, k_star: int) -> float:

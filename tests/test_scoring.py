@@ -1,4 +1,5 @@
 import csv
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -6,12 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ratfm.scoring as scoring
 from oracles import mu_3sigma_labels, refine_peak_dense, sma_formula
 from ratfm.errors import InvalidWindowError, LengthMismatchError, SeriesTooShortError
+from ratfm.harness import prepare_series
 from ratfm.scoring import (
     anomaly_scores,
     dump_scores_csv,
@@ -19,6 +21,7 @@ from ratfm.scoring import (
     sma_smooth,
     threshold_labels,
 )
+from ratfm.synth import SynthSpec, generate_synthetic
 
 
 def floats(values):
@@ -111,16 +114,95 @@ class TestEstimatePeriod:
         n = 1_000_000
         t = np.arange(n)
         noise = np.random.default_rng(6).standard_normal(n)
-        x = np.sin(2 * np.pi * t / 250 + 0.3) + 0.2 * noise
+        # bins 3991.8 and 3994.2 give periods 251 and 250, so the grid is searched
+        x = np.sin(2 * np.pi * t / 250.45 + 0.3) + 0.2 * noise
+        spy = mock.Mock(wraps=scoring._refine_peak)
         tracemalloc.start()
         try:
-            est = estimate_period(x)
+            with mock.patch.object(scoring, "_refine_peak", spy):
+                est = estimate_period(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert spy.call_count == 1
         # a dense (41, n) complex grid matrix alone would take 0.66 GB
         assert peak < 64 * 2**20
         assert est.period == 250 and not est.fallback_used
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_k=st.integers(8, 10**7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                # log-uniform, so bins that settle (k* >~ sqrt(2.4 n)) and
+                # bins that do not are both drawn often
+                st.floats(0.0, 1.0).map(lambda u: max(1, round((n // 2) ** u))),
+            )
+        )
+    )
+    @example(n_k=(100_000, 1042))
+    @example(n_k=(100_000, 1389))
+    @example(n_k=(2_400, 25))
+    @example(n_k=(1_000_000, 3993))
+    def test_settled_period_matches_a_dense_scan(self, n_k):
+        # the clamped rounded period over a dense grid of every frequency the
+        # refinement could return; the exit must name it exactly when it is one
+        n, k_star = n_k
+        grid = np.linspace(max(k_star - 1.2, 0.5), min(k_star + 1.2, n / 2), 4001)
+        periods = {max(2, min(round(n / f), n // 2)) for f in grid.tolist()}
+        expected = periods.pop() if len(periods) == 1 else None
+        assert scoring._settled_period(n, k_star) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(64, 50_000),
+        period_share=st.floats(0.0, 1.0),
+        near_half=st.booleans(),
+        offset=st.floats(-0.05, 0.05),
+        phase=st.floats(0.0, 2 * np.pi),
+    )
+    def test_exit_changes_no_period(self, n, period_share, near_half, offset, phase):
+        # periods within 0.05 of a half-integer sit at a rounding boundary,
+        # where the grid decides; periods near an integer are far from one
+        whole = math.floor(3 + period_share * (n / 4 - 4))
+        period = whole + offset + (0.5 if near_half else 0.0)
+        x = np.sin(2 * np.pi * np.arange(n) / period + phase)
+        real = scoring._refine_peak
+        moves = []
+
+        def refine(centered, k_star):
+            freq = real(centered, k_star)
+            moves.append(freq - k_star)
+            return freq
+
+        with mock.patch.object(scoring, "_settled_period", return_value=None):
+            expected = estimate_period(x)
+        with mock.patch.object(scoring, "_refine_peak", refine):
+            assert estimate_period(x) == expected
+        # the range the exit checks holds every frequency the grid returns
+        assert all(abs(move) <= 1.1 + 1e-9 for move in moves)
+
+    @pytest.mark.parametrize(
+        "train_len, test_len, refinements",
+        [(100_000, 200_000, 0), (2_400, 1_600, 2)],
+    )
+    def test_refinement_runs_only_where_it_can_change_the_period(
+        self, train_len, test_len, refinements
+    ):
+        # series shaped as in the archive_zero_shot and consumers_default
+        # benchmark workloads
+        spec = SynthSpec(
+            domains=2,
+            series_per_domain=1,
+            train_len=train_len,
+            test_len=test_len,
+            seed=1,
+        )
+        spy = mock.Mock(wraps=scoring._refine_peak)
+        with mock.patch.object(scoring, "_refine_peak", spy):
+            periods = [prepare_series(s)[1] for s in generate_synthetic(spec)]
+        assert spy.call_count == refinements
+        assert periods == [96, 72]
 
 
 class TestSmaSmooth:
