@@ -74,7 +74,8 @@ class PeriodTooLongError(RatfmError):
 
 
 class SingularSystemError(RatfmError):
-    """Unregularized normal equations are rank-deficient."""
+    """The ridge system is singular: rank-deficient without regularization,
+    or not numerically positive definite."""
 
 
 class EmptyTrainingSetError(RatfmError):

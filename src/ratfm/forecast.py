@@ -183,7 +183,7 @@ class LinearForecaster(Forecaster):
     mode = "ratfm"
 
     def __init__(self, weights: np.ndarray, budget: Budget):
-        # train_linear passes the solve's transpose; C order fixes the
+        # train_linear's primal side passes a transpose; C order fixes the
         # layout, and so the summation order, of the forecast's mat-vec
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         expected = (budget.horizon, budget.total + 1)
@@ -202,17 +202,51 @@ class LinearForecaster(Forecaster):
         return self.weights[:, :-1] @ ctx.flat() + self.weights[:, -1]
 
 
+def _ridge_solve(X: np.ndarray, B: np.ndarray, reg: float) -> np.ndarray:
+    """Solve ``(X X^T + reg I) Z = B`` for ``Z``, overwriting ``B``.
+
+    The gram's lower triangle is formed row by row and factored by a
+    column-loop Cholesky; two row-loop triangular solves then overwrite
+    ``B``, which is returned.  Every reduction is an ``einsum`` with
+    ``optimize=False``, which never calls BLAS, so the bits do not depend
+    on the BLAS thread count.
+    """
+    m = len(X)
+    L = np.zeros((m, m))
+    for i in range(m):
+        L[i, : i + 1] = np.einsum("k,jk->j", X[i], X[: i + 1], optimize=False)
+    L.flat[:: m + 1] += reg  # the diagonal, without an identity matrix
+    for j in range(m):
+        col = L[j:, j] - np.einsum("ik,k->i", L[j:, :j], L[j, :j], optimize=False)
+        if not col[0] > 0.0:
+            raise SingularSystemError("ridge system is not positive definite")
+        L[j:, j] = col / np.sqrt(col[0])
+    for i in range(m):
+        B[i] -= np.einsum("k,kj->j", L[i, :i], B[:i], optimize=False)
+        B[i] /= L[i, i]
+    for i in reversed(range(m)):
+        B[i] -= np.einsum("k,kj->j", L[i + 1 :, i], B[i + 1 :], optimize=False)
+        B[i] /= L[i, i]
+    return B
+
+
 def train_linear(
     train_contexts: list[ContextWindow], reg: float
 ) -> tuple[LinearForecaster, float]:
     """Fit the linear forecaster by ridge-regularized least squares.
 
     Minimizes ``sum ||W a - y||^2 + reg * ||W||_F^2`` over the augmented
-    context vectors ``a = [flat(ctx), 1]``, solved in closed form via the
-    normal equations.  Returns the forecaster and ``final_mse``, the
-    objective value divided by the number of contexts.  With ``reg=0`` a
-    rank-deficient system raises :class:`SingularSystemError` rather than
-    picking an arbitrary interpolant.
+    context vectors ``a = [flat(ctx), 1]``, solved in closed form on the
+    smaller side of the n x (dim + 1) design ``A``.  With no more contexts
+    than features the dual (kernel) system ``(A A^T + reg I) alpha = Y``
+    is solved and ``W^T = A^T alpha``; otherwise the primal normal
+    equations ``(A^T A + reg I) W^T = A^T Y``.  Both sides reduce in a
+    fixed order (see :func:`_ridge_solve`), so the weights are the same
+    bits under any BLAS thread count.  Returns the forecaster and
+    ``final_mse``, the objective value divided by the number of contexts.
+    With ``reg=0`` a rank-deficient system raises
+    :class:`SingularSystemError` rather than picking an arbitrary
+    interpolant.
     """
     if not train_contexts:
         raise EmptyTrainingSetError("no training contexts")
@@ -235,19 +269,19 @@ def train_linear(
         A[i, dim] = 1.0
         Y[i] = ctx.target_future
 
-    gram = A.T @ A
-    if reg == 0.0:
-        if np.linalg.matrix_rank(A) < dim + 1:
-            raise SingularSystemError(
-                "normal equations are rank-deficient with reg=0"
-            )
+    if reg == 0.0 and np.linalg.matrix_rank(A) < dim + 1:
+        raise SingularSystemError("normal equations are rank-deficient with reg=0")
+    if n <= dim + 1:
+        alpha = _ridge_solve(A, Y.copy(), reg)
+        weights = np.einsum("ij,ik->jk", alpha, A, optimize=False)
     else:
-        gram.flat[:: dim + 2] += reg  # the diagonal, without an identity matrix
-    wt = np.linalg.solve(gram, A.T @ Y)  # (dim+1, horizon)
-    weights = wt.T
-
-    residual = A @ wt - Y
-    objective = float(np.sum(residual * residual)) + reg * float(np.sum(wt * wt))
+        B = np.einsum("ki,kj->ij", A, Y, optimize=False)
+        weights = _ridge_solve(A.T, B, reg).T
+    # the objective at the returned weights is flat at its minimum, so the
+    # solve's rounding moves it only to second order; reg * sum(alpha * Y),
+    # equal in exact arithmetic, moves to first order
+    residual = np.einsum("ik,jk->ij", A, weights, optimize=False) - Y
+    objective = float(np.sum(residual * residual)) + reg * float(np.sum(weights * weights))
     return LinearForecaster(weights, Budget(segs[0], h, segs[2])), objective / n
 
 

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ratfm
 from oracles import ridge_lstsq
 from ratfm.dataset import Window
 from ratfm.errors import (
@@ -23,6 +30,20 @@ from ratfm.forecast import (
     train_linear,
     zero_shot_context,
 )
+
+
+# fits seeded random contexts and prints the weights' digest and final_mse
+_FIT_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from ratfm.forecast import ContextWindow, train_linear
+n, te, h, tt = map(int, sys.argv[1:])
+rng = np.random.default_rng(21)
+train = [ContextWindow(rng.normal(size=te), rng.normal(size=h), rng.normal(size=tt),
+                       h, rng.normal(size=h)) for _ in range(n)]
+fc, final_mse = train_linear(train, reg=1e-3)
+print(hashlib.sha256(fc.weights.tobytes()).hexdigest(), final_mse.hex())
+"""
 
 
 def win(inp, fut, sid="s", start=0):
@@ -159,6 +180,41 @@ class TestTrainLinear:
         ctx = make_ctx(rng, self.budget)
         with pytest.raises(SingularSystemError):
             train_linear([ctx, ctx, ctx], reg=0.0)
+        # more contexts than the 11 features, but only 3 distinct ones
+        with pytest.raises(SingularSystemError):
+            train_linear(self._contexts(3, False, rng) * 8, reg=0.0)
+
+    def test_full_rank_primal_side_fits_without_reg(self):
+        rng = np.random.default_rng(15)
+        train = self._contexts(40, False, rng)
+        fc, final_mse = train_linear(train, reg=0.0)
+        A = np.array([np.append(c.flat(), 1.0) for c in train])
+        Y = np.array([c.target_future for c in train])
+        expected = ridge_lstsq(A, Y, 0.0)
+        assert np.allclose(fc.weights, expected.T, atol=1e-10)
+        objective = float(np.sum((A @ expected - Y) ** 2))
+        assert final_mse == pytest.approx(objective / len(train), rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        budget=st.builds(Budget, st.integers(1, 6), st.integers(1, 4), st.integers(1, 6)),
+        # contexts minus features: the sides' boundary and a context off it
+        # on either side, or anywhere within 30 of it
+        offset=st.sampled_from([-1, 0, 1]) | st.integers(-30, 30),
+        reg=st.floats(-6.0, 1.0).map(lambda e: 10.0**e),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_oracle_on_both_sides(self, budget, offset, reg, seed):
+        rng = np.random.default_rng(seed)
+        n = max(1, budget.total + 1 + offset)
+        train = [make_ctx(rng, budget) for _ in range(n)]
+        fc, final_mse = train_linear(train, reg=reg)
+        A = np.array([np.append(c.flat(), 1.0) for c in train])
+        Y = np.array([c.target_future for c in train])
+        expected = ridge_lstsq(A, Y, reg)
+        assert np.linalg.norm(fc.weights - expected.T) <= 1e-6 * np.linalg.norm(expected)
+        objective = float(np.sum((A @ expected - Y) ** 2) + reg * np.sum(expected**2))
+        assert final_mse == pytest.approx(objective / n, rel=1e-9)
 
     def test_matches_lstsq_ridge_oracle(self):
         rng = np.random.default_rng(6)
@@ -175,14 +231,14 @@ class TestTrainLinear:
         assert fc.weights.shape == (2, dim + 1)
 
     def test_regularizes_in_place_at_the_default_budget(self):
-        # 1121 features: the gram matrix is 10 MB; adding reg * eye(1121)
-        # to it would peak near twice that beside the design matrix
+        # 156 contexts against 1121 features: the 156 x 156 dual system
+        # needs no 10 MB features x features gram, and reg * eye(156)
+        # is added to its diagonal in place
         rng = np.random.default_rng(8)
         budget = Budget(512, 96, 512)
         train = [make_ctx(rng, budget) for _ in range(156)]
         n_features = budget.total + 1
         gram_bytes = n_features * n_features * 8
-        design_bytes = len(train) * n_features * 8
         tracemalloc.start()
         try:
             fc, _ = train_linear(train, reg=1e-3)
@@ -190,7 +246,24 @@ class TestTrainLinear:
         finally:
             tracemalloc.stop()
         assert fc.weights.shape == (budget.horizon, n_features)
-        assert peak < 1.5 * gram_bytes + design_bytes
+        assert peak < 0.5 * gram_bytes
+
+    @pytest.mark.parametrize("n, budget", [
+        (156, Budget(512, 96, 512)),
+        (300, Budget(64, 16, 64)),
+    ], ids=["dual_side", "primal_side"])
+    def test_fit_does_not_depend_on_blas_threads(self, n, budget):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(ratfm.__file__).parents[1]))
+            proc = subprocess.run(
+                [sys.executable, "-c", _FIT_SCRIPT, str(n), *map(str, budget)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_training_mse_bounds_context_average(self):
         rng = np.random.default_rng(7)

@@ -8,6 +8,7 @@ numbers changed and why.
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -35,10 +36,11 @@ C10_CONFIG = {
 
 # Recorded with numpy 2.4.6 (its bundled OpenBLAS 0.3.31) on an
 # "Intel(R) Xeon(R) Processor" (2 CPUs).  numpy's FFTs and reductions may
-# round differently in another version, so the test skips there.
-# ratfm_linear is not pinned: its bytes depend on the BLAS thread count
-# (see test_outputs_do_not_depend_on_blas_threads).
+# round differently in another version, and OpenBLAS (built with
+# DYNAMIC_ARCH) and numpy's SIMD dispatch pick kernels per CPU model, so
+# the test skips on another numpy or CPU model.
 DIGESTS_NUMPY = "2.4.6"
+DIGESTS_CPU = "Intel(R) Xeon(R) Processor"
 DIGESTS = {
     "zero_shot_naive": {
         "config.json": "ee0ecd96e3be8e5ec9a5cf10aa4fc47b70dc5bb730fc0885e26b33ec366bc7d3",
@@ -62,7 +64,28 @@ DIGESTS = {
         "scores/005_dom1_700_1143_1198.csv": "eeece0b4da819db5f38ea03078b01e6352fbaa2649bd063137c0550ab21a7134",
         "scores/006_dom1_700_1186_1240.csv": "2dcc6dd6a0f31d28b8e264231531aade175568b7cacba838cdee3c3053fc7c97",
     },
+    "ratfm_linear": {
+        "config.json": "ee0ecd96e3be8e5ec9a5cf10aa4fc47b70dc5bb730fc0885e26b33ec366bc7d3",
+        "per_series.csv": "f746ebd94f19689e8ab97d8159bdb485d447b671e9bdc5c7f447d191236c1ab2",
+        "report.json": "a2569698f271148a0d93b28170cb1fe2e68c9aeba230fc654289e283dd3aa99c",
+        "scores/001_dom0_700_1138_1194.csv": "178c7c16cf3051be3a6c67fd87b5dc121c5dfccd76b991d3d6cd17eaf18bfbe8",
+        "scores/002_dom0_700_1166_1213.csv": "19163ff5c2072280762f31d65f1f4114493dba218ce6fdbd03bf26ebdbae3f84",
+        "scores/003_dom0_700_1179_1209.csv": "a4c2648a5e9ff755d0043035d627e41bface811043aa5c3d99ba6e257013888b",
+        "scores/004_dom1_700_1151_1182.csv": "982b373fcf5c146721f81f240b46383f17cb643b016b1296c1e36d8e6d5847bf",
+        "scores/005_dom1_700_1143_1198.csv": "229198a73067f41946c8b85955613dd9c72c9042912d26d9f3d115486d8a2d79",
+        "scores/006_dom1_700_1186_1240.csv": "9691355193a95222568bc458f9ebb7da8ea741ca1c31c737f92e3dac967cb5a5",
+    },
 }
+
+
+def cpu_model() -> str:
+    """The CPU's model name as /proc/cpuinfo gives it, else the platform's."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next(line.split(":", 1)[1].strip() for line in f
+                        if line.startswith("model name"))
+    except (OSError, StopIteration):
+        return platform.processor()
 
 
 def write_c10_config(tmp_path) -> Path:
@@ -82,9 +105,10 @@ def emitted(out: Path) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("setting", sorted(DIGESTS))
 def test_emitted_files_match_recorded_digests(tmp_path, setting):
-    if np.__version__ != DIGESTS_NUMPY:
-        pytest.skip(f"digests recorded with numpy {DIGESTS_NUMPY}, "
-                    f"installed numpy is {np.__version__}")
+    if (np.__version__, cpu_model()) != (DIGESTS_NUMPY, DIGESTS_CPU):
+        pytest.skip(f"digests recorded with numpy {DIGESTS_NUMPY} on {DIGESTS_CPU!r}; "
+                    f"this is numpy {np.__version__} on {cpu_model()!r}, whose "
+                    f"BLAS and SIMD kernels may round differently")
     out = tmp_path / "out"
     assert main(["run", "--setting", setting, "--config", str(write_c10_config(tmp_path)),
                  "--out", str(out)]) == 0
@@ -92,13 +116,7 @@ def test_emitted_files_match_recorded_digests(tmp_path, setting):
     assert got == DIGESTS[setting]
 
 
-@pytest.mark.parametrize("setting", [
-    "zero_shot_naive",
-    "ratfm_copy",
-    pytest.param("ratfm_linear", marks=pytest.mark.xfail(
-        reason="the ridge fit's BLAS calls round differently per thread count "
-               "(ROADMAP item 2)", strict=False)),
-])
+@pytest.mark.parametrize("setting", ["zero_shot_naive", "ratfm_copy", "ratfm_linear"])
 def test_outputs_do_not_depend_on_blas_threads(tmp_path, setting):
     cfg = write_c10_config(tmp_path)
     outputs = []
