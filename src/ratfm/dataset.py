@@ -300,6 +300,11 @@ def window_starts(
     return range(lo, hi - input_len - horizon + 1, stride)
 
 
+def gather(values: np.ndarray, starts, length: int) -> np.ndarray:
+    """The ``length`` points of ``values`` from each of ``starts``, a row each."""
+    return values[np.asarray(starts, dtype=np.intp)[:, None] + np.arange(length)]
+
+
 def load_dataset(root: str | Path) -> list[LabeledSeries]:
     """Parse every ``*.txt`` file under ``root``, sorted by path.
 

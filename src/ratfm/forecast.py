@@ -231,43 +231,37 @@ def _ridge_solve(X: np.ndarray, B: np.ndarray, reg: float) -> np.ndarray:
 
 
 def train_linear(
-    train_contexts: list[ContextWindow], reg: float
+    X: np.ndarray, Y: np.ndarray, reg: float, budget: Budget
 ) -> tuple[LinearForecaster, float]:
     """Fit the linear forecaster by ridge-regularized least squares.
 
-    Minimizes ``sum ||W a - y||^2 + reg * ||W||_F^2`` over the augmented
-    context vectors ``a = [flat(ctx), 1]``, solved in closed form on the
-    smaller side of the n x (dim + 1) design ``A``.  With no more contexts
-    than features the dual (kernel) system ``(A A^T + reg I) alpha = Y``
-    is solved and ``W^T = A^T alpha``; otherwise the primal normal
-    equations ``(A^T A + reg I) W^T = A^T Y``.  Both sides reduce in a
-    fixed order (see :func:`_ridge_solve`), so the weights are the same
-    bits under any BLAS thread count.  Returns the forecaster and
-    ``final_mse``, the objective value divided by the number of contexts.
-    With ``reg=0`` a rank-deficient system raises
+    ``X`` holds a flattened context (:meth:`ContextWindow.flat`) per row,
+    ``Y`` its target future.  Minimizes ``sum ||W a - y||^2 + reg *
+    ||W||_F^2`` over the augmented rows ``a = [x, 1]``, solved in closed
+    form on the smaller side of the n x (dim + 1) design ``A``.  With no
+    more contexts than features the dual (kernel) system ``(A A^T + reg
+    I) alpha = Y`` is solved and ``W^T = A^T alpha``; otherwise the
+    primal normal equations ``(A^T A + reg I) W^T = A^T Y``.  Both sides
+    reduce in a fixed order (see :func:`_ridge_solve`), so the weights
+    are the same bits under any BLAS thread count.  Returns the
+    forecaster and ``final_mse``, the objective value divided by the
+    number of contexts.  With ``reg=0`` a rank-deficient system raises
     :class:`SingularSystemError` rather than picking an arbitrary
     interpolant.
     """
-    if not train_contexts:
+    budget = Budget(*budget)
+    n, dim, h = len(X), budget.total, budget.horizon
+    if not n:
         raise EmptyTrainingSetError("no training contexts")
     if reg < 0:
         raise ValueError(f"reg must be >= 0, got {reg}")
-    segs = train_contexts[0].segments
-    h = train_contexts[0].horizon
-    for ctx in train_contexts:
-        if ctx.target_future is None:
-            raise EmptyTrainingSetError("every training context needs target_future")
-        if ctx.segments != segs or ctx.horizon != h:
-            raise ValueError("training contexts have inconsistent segment layout")
-
-    n = len(train_contexts)
-    dim = sum(segs)
+    if np.shape(X) != (n, dim) or np.shape(Y) != (n, h):
+        raise ValueError(f"need {n} x {dim} contexts and {n} x {h} targets")
     A = np.empty((n, dim + 1), dtype=np.float64)
-    Y = np.empty((n, h), dtype=np.float64)
-    for i, ctx in enumerate(train_contexts):
-        A[i, :dim] = ctx.flat()
-        A[i, dim] = 1.0
-        Y[i] = ctx.target_future
+    A[:, :dim] = X
+    A[:, dim] = 1.0
+    # one layout for the einsums below, whatever the caller passes
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
 
     if reg == 0.0 and np.linalg.matrix_rank(A) < dim + 1:
         raise SingularSystemError("normal equations are rank-deficient with reg=0")
@@ -282,7 +276,7 @@ def train_linear(
     # equal in exact arithmetic, moves to first order
     residual = np.einsum("ik,jk->ij", A, weights, optimize=False) - Y
     objective = float(np.sum(residual * residual)) + reg * float(np.sum(weights * weights))
-    return LinearForecaster(weights, Budget(segs[0], h, segs[2])), objective / n
+    return LinearForecaster(weights, budget), objective / n
 
 
 def forecast(forecaster: Forecaster, ctx: ContextWindow) -> np.ndarray:

@@ -10,6 +10,7 @@ are recorded and skipped so a single bad series cannot kill a benchmark.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import logging
@@ -24,9 +25,8 @@ import numpy as np
 from . import _kernels
 from .dataset import (
     LabeledSeries,
-    Window,
+    gather,
     load_dataset,
-    make_windows,
     os_name,
     standardize,
     window_starts,
@@ -44,10 +44,8 @@ from .errors import (
 from .forecast import (
     Budget,
     ExampleCopyForecaster,
-    Forecaster,
     LinearForecaster,
     SeasonalNaiveForecaster,
-    assemble_context,
     train_linear,
 )
 from .metrics import EvalReport, GroundTruth, ScoreDump, pointwise_prf, vus
@@ -59,7 +57,8 @@ from .retrieval import (
     subsample_indices,
 )
 # unused here, but perfbench/tracer.py wraps these names in ratfm.harness
-from .forecast import forecast, zero_shot_context  # noqa: F401
+from .dataset import make_windows  # noqa: F401
+from .forecast import assemble_context, forecast, zero_shot_context  # noqa: F401
 from .retrieval import retrieve_best, subsample_pool  # noqa: F401
 from .scoring import anomaly_scores  # noqa: F401
 from .scoring import (
@@ -134,7 +133,7 @@ class ExperimentConfig:
         _check_fractions(self.fractions)
         if not 0.0 < self.pool_fraction <= 1.0:
             raise ConfigError(f"pool_fraction must lie in (0, 1], got {self.pool_fraction}")
-        stride = _eval_stride(self)
+        stride = h if self.eval_stride is None else self.eval_stride
         if not 1 <= stride <= h:
             raise ConfigError(f"eval_stride must lie in [1, horizon], got {stride}")
         if self.pool_stride is not None and self.pool_stride < 1:
@@ -209,11 +208,10 @@ class PreparedRun:
     (``out_dir`` may differ): another config is a :class:`ConfigError`.
     ``pools`` is keyed by domain and filled under ``_lock`` by
     :func:`_domain_pool` on each domain's first retrieval, so a caller's
-    threads may share one prepared run.
-    ``_examples`` holds each series' windows and, per pool fraction,
-    their retrieved examples, filled lazily by :func:`_retrieved` so
-    that every retrieval consumer of the run cuts a series' windows and
-    scores a window's query once.
+    threads may share one prepared run; a pool is values plus row starts.
+    ``_examples`` holds, per series, region and pool fraction, each
+    window's example row in its domain pool, filled lazily by
+    :func:`_retrieved` so that every consumer scores a query once.
     """
 
     config: ExperimentConfig
@@ -276,9 +274,9 @@ def _prepared(config: ExperimentConfig, data: PreparedRun | None) -> PreparedRun
 
 def _domain_pool(data: PreparedRun, domain: str) -> CandidatePool:
     """``domain``'s pool, cut and built once per run, under the run's lock:
-    each of its series' windows in load order, from the train region and,
-    for ``retrieval_region="full"``, the test region, subsampled to
-    ``pool_fraction`` before the pool's arrays are built."""
+    its series' values in load order to the end of the train region or,
+    for ``retrieval_region="full"``, the test region, and the starts of
+    their windows there, subsampled to ``pool_fraction``."""
     config = data.config
     with data._lock:
         if domain in data.pools:
@@ -286,39 +284,36 @@ def _domain_pool(data: PreparedRun, domain: str) -> CandidatePool:
         te, h, _ = config.budget
         # dense pools by default: retrieval quality hinges on phase coverage
         stride = config.pool_stride or max(1, h // 12)
-        regions = ["train"] if config.retrieval_region == "train" else ["train", "test"]
-        wins = []
-        for s in data.series:
-            if s.domain == domain:
-                for region in regions:
-                    wins += make_windows(s, region, te, h, stride)
-        kept = subsample_indices(len(wins), config.pool_fraction, config.seed)
+        full = config.retrieval_region == "full"
+        regions = ["train", "test"] if full else ["train"]
+        members = [s for s in data.series if s.domain == domain]
+        parts = [s.values if full else s.train_values for s in members]
+        offsets = np.cumsum([0] + [len(p) for p in parts[:-1]])
+        starts = np.concatenate([
+            np.asarray(window_starts(s, region, te, h, stride), dtype=np.intp) + at
+            for s, at in zip(members, offsets)
+            for region in regions
+        ])
+        kept = subsample_indices(len(starts), config.pool_fraction, config.seed)
         data.pools[domain] = CandidatePool(
-            domain, [wins[i] for i in kept], config.pool_fraction, config.seed
+            domain, np.concatenate(parts), tuple(s.id for s in members), offsets,
+            starts[kept], te, h, config.pool_fraction, config.seed,
         )
         return data.pools[domain]
 
 
-def _retrieval_query(window: Window, example_len: int) -> Window:
-    inp = window.input
-    return Window(
-        series_id=window.series_id,
-        start=window.start + len(inp) - example_len,
-        input=inp[len(inp) - example_len :],
-        future=window.future,
-    )
-
-
-def _eval_stride(config: ExperimentConfig) -> int:
-    return config.budget.horizon if config.eval_stride is None else config.eval_stride
-
-
-def _windows(
-    config: ExperimentConfig, series: LabeledSeries, region: str
-) -> list[Window]:
-    """Windows of a whole budget's input, ``eval_stride`` apart."""
+def _window_starts(config: ExperimentConfig, series: LabeledSeries, region: str) -> range:
+    """Starts of the windows of a whole budget's input, ``eval_stride`` apart."""
     te, h, tt = config.budget
-    return make_windows(series, region, te + h + tt, h, _eval_stride(config))
+    return window_starts(series, region, te + h + tt, h, config.eval_stride or h)
+
+
+def _contexts(pool: CandidatePool, rows, values: np.ndarray, starts, budget) -> np.ndarray:
+    """Per window of ``values`` at ``starts`` and its example row in ``rows``:
+    [example input, example future, target input, target future]."""
+    te, h, tt = budget
+    example = gather(pool.values, pool.starts[rows], te + h)
+    return np.hstack((example, gather(values, starts + te + h, tt + h)))
 
 
 def _retrieved(
@@ -326,35 +321,32 @@ def _retrieved(
     series: LabeledSeries,
     region: str,
     fractions: tuple[float, ...] = (1.0,),
-) -> tuple[list[Window], list[list[Window | str]]]:
-    """A series' windows in ``region`` and, per fraction, each window's example.
+) -> list[list[int | str]]:
+    """Per fraction, the example row of each of a series' windows in ``region``.
 
-    A window's query is scored once for all fractions
-    (:func:`best_candidates`); a fraction's example is the best entry
-    among those :func:`subsample_indices` keeps (as in a pool passed
-    through :func:`subsample_pool`), the lowest index on ties, or the
-    message of the :class:`RatfmError` retrieval raised.
-    Examples are cached per prepared run, series, region and fraction,
-    windows without the fraction; only fractions not cached yet are
-    retrieved.  No lock is held while retrieving: two threads fill the
+    A window's query, its input's last ``example_len`` points, is scored
+    once for all fractions (:func:`best_candidates`); a fraction's
+    example is the best pool row among those :func:`subsample_indices`
+    keeps (as in a pool passed through :func:`subsample_pool`), the
+    lowest on ties, or the message of the :class:`RatfmError` retrieval
+    raised.  Examples are cached per prepared run, series, region and
+    fraction.  No lock is held while retrieving: two threads fill the
     same entry only when a caller runs two consumers on one ``data`` at
     once, and both then store the same examples.
     """
     key = (series.id, region)
-    if key not in data._examples:
-        data._examples[key] = _windows(data.config, series, region)
-    windows = data._examples[key]
     missing = [f for f in fractions if key + (f,) not in data._examples]
     if missing:
         pool = _domain_pool(data, series.domain)
         kept = [subsample_indices(len(pool), f, data.config.seed) for f in missing]
+        te, h, tt = data.config.budget
         found: list[list] = [[] for _ in missing]
-        for w in windows:
-            query = _retrieval_query(w, data.config.budget.example_len)
+        for start in _window_starts(data.config, series, region):
+            query = series.values[start + h + tt : start + te + h + tt]
             try:
                 picks = [
-                    pool.entries[won[0]] if won else str(no_candidate(query, pool))
-                    for won in best_candidates(query, pool, kept)
+                    won[0] if won else str(no_candidate(series.id, pool))
+                    for won in best_candidates(query, series.id, pool, kept)
                 ]
             except RatfmError as exc:
                 picks = [str(exc)] * len(missing)
@@ -362,7 +354,7 @@ def _retrieved(
                 examples.append(pick)
         for f, examples in zip(missing, found):
             data._examples[key + (f,)] = examples
-    return windows, [data._examples[key + (f,)] for f in fractions]
+    return [data._examples[key + (f,)] for f in fractions]
 
 
 def _train_forecaster(data: PreparedRun) -> tuple[LinearForecaster, dict]:
@@ -371,23 +363,26 @@ def _train_forecaster(data: PreparedRun) -> tuple[LinearForecaster, dict]:
     Windows whose retrieval failed are left out.
     """
     config = data.config
-    contexts = []
+    total = config.budget.total
+    contexts = [np.empty((0, total + config.budget.horizon))]
     for series in data.series:
-        windows, (examples,) = _retrieved(data, series, "train")
-        contexts += [
-            assemble_context(w, example, config.budget)
-            for w, example in zip(windows, examples)
-            if not isinstance(example, str)
-        ]
+        (examples,) = _retrieved(data, series, "train")
+        starts = _window_starts(config, series, "train")
+        found = [(s, e) for s, e in zip(starts, examples) if not isinstance(e, str)]
+        starts, rows = np.array(found, dtype=np.intp).reshape(-1, 2).T
+        pool = _domain_pool(data, series.domain)
+        contexts.append(_contexts(pool, rows, series.values, starts, config.budget))
+    contexts = np.concatenate(contexts)
+    X, Y = contexts[:, :total], contexts[:, total:]
     try:
-        forecaster, final_mse = train_linear(contexts, config.ridge_reg)
+        forecaster, final_mse = train_linear(X, Y, config.ridge_reg, config.budget)
     except EmptyTrainingSetError as exc:
         raise ConfigError(
             "no training contexts available; train regions are too short "
             "for the configured budget"
         ) from exc
     info = {
-        "n_contexts": len(contexts),
+        "n_contexts": len(X),
         "final_mse": final_mse,
         "ridge_reg": config.ridge_reg,
     }
@@ -399,23 +394,22 @@ def _eval_series(
     config: ExperimentConfig,
     setting: str,
     period: int,
-    windows: list[Window] | None,
-    examples: list[Window | str] | None,
-    trained: Forecaster | None,
+    pool: CandidatePool | None,
+    examples: list[int | str] | None,
+    trained: LinearForecaster | None,
 ) -> tuple[dict, ScoreDump]:
     """Score one series from its test windows and, for the retrieval
-    settings, their examples as :func:`_retrieved` returns them.
+    settings, their example rows of ``pool`` as :func:`_retrieved` returns.
 
-    Only ``ratfm_linear`` reads the windows themselves; the other
-    settings need only their starts (:func:`window_starts`) and may pass
-    ``None``.  Windows are forecast and scored a block at a time, in
-    window order, and the raw scores equal a per-window loop's bit for
-    bit.  A failed retrieval is raised after the windows before it are
-    scored, so an earlier window's error comes first."""
+    Windows are forecast and scored a block at a time, in window order,
+    and the raw scores equal a per-window loop's bit for bit: copy
+    gathers a block's example futures, linear its contexts, one mat-vec
+    per row.  A failed retrieval is raised after the windows before it
+    are scored, so an earlier window's error comes first."""
     budget = config.budget
     h = budget.horizon
     total = budget.total
-    starts = window_starts(series, "test", total, h, _eval_stride(config))
+    starts = _window_starts(config, series, "test")
     if not starts:
         raise RatfmError("test region too short for the configured budget")
 
@@ -431,9 +425,9 @@ def _eval_series(
         name = ExampleCopyForecaster.name if setting == "ratfm_copy" else trained.name
         # windows after the first failed retrieval are never scored
         n = next((i for i, e in enumerate(examples) if isinstance(e, str)), n)
+    first = np.array(starts[:n], dtype=np.intp)
     # where each window's future starts in the test region
-    future = np.array(starts[:n], dtype=np.intp)
-    future += total - series.train_end
+    future = first + (total - series.train_end)
     steps = np.arange(h)
     acc = np.zeros(len(test))
     cnt = np.zeros(len(test), dtype=np.int64)
@@ -444,12 +438,12 @@ def _eval_series(
         if examples is None:
             block = test[at + lags]
         elif setting == "ratfm_copy":
-            block = np.array([e.future for e in examples[lo:hi]])
+            block = gather(pool.values, pool.starts[examples[lo:hi]] + pool.width, h)
         else:
-            block = np.array([
-                trained.forecast(assemble_context(w, e, budget))
-                for w, e in zip(windows[lo:hi], examples[lo:hi])
-            ])
+            # LinearForecaster.forecast's arithmetic, a row at a time
+            weights, bias = trained.weights[:, :-1], trained.weights[:, -1]
+            X = _contexts(pool, examples[lo:hi], series.values, first[lo:hi], budget)
+            block = np.array([weights @ x + bias for x in X[:, :total]])
         if not np.isfinite(block).all():
             raise ValueError(f"{name} produced non-finite values")
         # anomaly_scores in place; add.at adds each point's terms in
@@ -531,7 +525,7 @@ def _check_setting(setting: str) -> None:
 def _evaluate(
     report: EvalReport,
     data: PreparedRun,
-    trained: Forecaster | None,
+    trained: LinearForecaster | None,
     fraction: float = 1.0,
 ) -> EvalReport:
     """Fill and finalize ``report`` with every series of ``data``.
@@ -544,15 +538,16 @@ def _evaluate(
         sid = series.id
         try:
             if report.setting == "zero_shot_naive":
-                windows, examples = None, None
+                pool, examples = None, None
             else:
-                windows, (examples,) = _retrieved(data, series, "test", (fraction,))
+                (examples,) = _retrieved(data, series, "test", (fraction,))
+                pool = _domain_pool(data, series.domain)
             rec, dump = _eval_series(
                 series,
                 config,
                 report.setting,
                 data.periods[sid],
-                windows,
+                pool,
                 examples,
                 trained,
             )
@@ -579,10 +574,14 @@ class SweepResult:
     reports: dict[float, EvalReport] = field(repr=False, default_factory=dict)
 
     def write_csv(self, path: str | Path) -> None:
-        lines = ["fraction,domain,vus_roc,n_series"]
-        for fraction, domain, vus_roc, n_series in self.rows:
-            lines.append(f"{fraction},{domain},{vus_roc!r},{n_series}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = [(repr(f), dom, repr(v), n) for f, dom, v, n in self.rows]
+        _write_csv(path, ["fraction", "domain", "vus_roc", "n_series"], rows)
+
+
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Quoted where a field needs it: a domain may hold ``,`` or ``"``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _check_fractions(fractions) -> None:
@@ -653,13 +652,12 @@ class SimilarityDiagnostics:
         return {"per_domain": self.per_domain, "overall": self.overall}
 
     def write_csv(self, path: str | Path) -> None:
-        lines = ["domain,example_future,aligned_segment,best_segment,n_windows"]
-        for dom, rec in sorted(self.per_domain.items()):
-            lines.append(
-                f"{dom},{rec['example_future']!r},{rec['aligned_segment']!r},"
-                f"{rec['best_segment']!r},{rec['n_windows']}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        keys = ["example_future", "aligned_segment", "best_segment"]
+        rows = [
+            (dom, *(repr(rec[k]) for k in keys), rec["n_windows"])
+            for dom, rec in sorted(self.per_domain.items())
+        ]
+        _write_csv(path, ["domain", *keys, "n_windows"], rows)
 
 
 def similarity_diagnostics(
@@ -684,14 +682,17 @@ def similarity_diagnostics(
     counts: dict[str, int] = {}
     for series in data.series:
         dom = series.domain
-        windows, (examples,) = _retrieved(data, series, "test")
-        for w, example in zip(windows, examples):
-            if isinstance(example, str):
+        (examples,) = _retrieved(data, series, "test")
+        pool = _domain_pool(data, dom)
+        for start, row in zip(_window_starts(config, series, "test"), examples):
+            if isinstance(row, str):
                 continue
+            inp, future = np.split(series.values[start : start + te + h + tt + h], [-h])
+            at = pool.starts[row] + te
             try:
-                a = ncc_max(example.future, w.future, lag_zero_only=True).score
-                b = ncc_max(w.input[te : te + h], w.future, lag_zero_only=True).score
-                c, _off = _kernels.lag0_scan(w.input[: te + h], w.future)
+                a = ncc_max(pool.values[at : at + h], future, lag_zero_only=True).score
+                b = ncc_max(inp[te : te + h], future, lag_zero_only=True).score
+                c, _off = _kernels.lag0_scan(inp[: te + h], future)
             except RatfmError:
                 continue
             if c < -1.0:

@@ -20,13 +20,13 @@ Stability of Numerical Algorithms", ch. 4); it is raised by
 round-off, about ``2**-53 * log2(nfft)``.
 
 The screen correlates a block's rows against ``fq / |q|`` in complex64
-(``irfft`` in float32), from each entry's conjugate spectrum over its
+(``irfft`` in float32), from each row's conjugate spectrum over its
 norm, stored in complex64: a screen score ``s32``, the same two-range
 peak, within ``eps`` of the float64 score.  A subset's floor is its
 highest ``s32 - eps``, below its best score; a row whose ``s32 + eps``
 reaches none of its subsets' floors loses in each of them to the row
-that set the floor.  The rest are scored once, in index order, in
-float64 from their windows, so each winner and score is bitwise the
+that set the floor.  The rest are scored once, in row order, in
+float64 from their values, so each winner and score is bitwise the
 exhaustive one.
 
 With ``u = 2**-24``, ``s32`` differs from the computed float64 score by
@@ -48,12 +48,13 @@ real-input transform's extra passes.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Window
+from .dataset import Window, gather
 from .errors import (
     EmptyPoolError,
     InconsistentWindowLengthError,
@@ -75,41 +76,47 @@ class SimilarityResult:
 _CHUNK_ROWS = 64
 
 
-@dataclass
+@dataclass(eq=False)
 class CandidatePool:
-    """Immutable set of same-domain candidate windows.
+    """Same-domain candidate rows, each a start into the domain's values.
 
-    Entries typically come from the training regions of series other
-    than the query's; windows from the query's own series are excluded
-    at retrieval time.  ``fraction`` and ``seed`` record how the pool
-    was subsampled.  The constructor stores the window length ``width``
-    and, per entry, its norm (``norms``), its series id (``series_ids``),
-    the complex64 conjugate of its ``_fft_size(width)``-point spectrum
-    over its norm (``spectra``) and the float32 magnitude of that
-    spectrum over the norm (``mags``), built :data:`_CHUNK_ROWS` entries
-    at a time.
+    ``values`` holds the domain's series once, end to end, series
+    ``series_ids[k]`` from ``offsets[k]`` on; a row is ``width`` input
+    points from its start, then ``horizon`` future points.  Rows of the
+    query's own series are excluded at retrieval time.  ``fraction`` and
+    ``seed`` record how the pool was subsampled.  The constructor stores,
+    per row, its series (``series``), norm (``norms``), the complex64
+    conjugate of its ``_fft_size(width)``-point spectrum over its norm
+    (``spectra``) and the float32 magnitude of that spectrum over the
+    norm (``mags``), built :data:`_CHUNK_ROWS` rows at a time.
     """
 
     domain: str
-    entries: list[Window]
+    values: np.ndarray
+    series_ids: tuple[str, ...]
+    offsets: np.ndarray
+    starts: np.ndarray
+    width: int
+    horizon: int
     fraction: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        lengths = {len(e.input) for e in self.entries}
-        if len(lengths) > 1:
+        self.starts = np.asarray(self.starts, dtype=np.intp)
+        self.series = np.searchsorted(self.offsets, self.starts, side="right") - 1
+        n = len(self.starts)
+        last = len(self.values) - self.width - self.horizon
+        if n and not 0 <= self.starts.min() <= self.starts.max() <= last:
             raise InconsistentWindowLengthError(
-                f"pool windows have mixed lengths {sorted(lengths)}"
+                f"pool rows of {self.width} + {self.horizon} points overrun its values"
             )
-        n = len(self.entries)
-        self.width = lengths.pop() if lengths else 0
         nfft = _fft_size(self.width)
         self.norms = np.empty(n)
         self.spectra = np.empty((n, nfft // 2 + 1), dtype=np.complex64)
         self.mags = np.empty(self.spectra.shape, dtype=np.float32)
         for lo in range(0, n, _CHUNK_ROWS):
             rows = slice(lo, lo + _CHUNK_ROWS)
-            stack = _stack(self.entries, range(n)[rows])
+            stack = gather(self.values, self.starts[rows], self.width)
             norms = self.norms[rows]
             norms[:] = np.linalg.norm(stack, axis=1)
             spectrum = np.fft.rfft(stack, nfft, axis=1)
@@ -117,15 +124,9 @@ class CandidatePool:
             # divided in float64, then cast: unit-norm values cannot overflow float32
             np.divide(np.abs(spectrum), scale, out=self.mags[rows])
             np.divide(np.conj(spectrum, out=spectrum), scale, out=self.spectra[rows])
-        self.series_ids = np.array([e.series_id for e in self.entries])
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-
-def _stack(entries: list[Window], rows) -> np.ndarray:
-    """The inputs of ``entries[rows]`` as one float64 matrix."""
-    return np.array([entries[i].input for i in rows], dtype=np.float64)
+        return len(self.starts)
 
 
 def _fft_size(length: int) -> int:
@@ -160,11 +161,11 @@ def ncc_max(
     return SimilarityResult(score=float(np.clip(score, -1.0, 1.0)))
 
 
-def no_candidate(query: Window, pool: CandidatePool) -> EmptyPoolError:
-    """The error for a query none of whose pool entries is usable."""
+def no_candidate(series_id: str, pool: CandidatePool) -> EmptyPoolError:
+    """The error for a query of ``series_id`` none of whose pool rows is usable."""
     return EmptyPoolError(
         f"pool for domain {pool.domain!r} has no candidate outside "
-        f"series {query.series_id!r}"
+        f"series {series_id!r}"
     )
 
 
@@ -212,33 +213,33 @@ def _screen_scores(fq32, L, spectra, block) -> np.ndarray:
     return _peaks(circ, L).astype(np.float64)
 
 
-def _block_scores(fq, L, qnorm, entries, norms, block) -> np.ndarray:
-    """Scores of the pool rows ``block`` (of ``entries``) against a
-    length-``L`` query of spectrum ``fq`` and norm ``qnorm``: each row's
-    maximum cross-correlation over all lags, divided by the two norms."""
+def _block_scores(fq, qnorm, pool, block) -> np.ndarray:
+    """Scores of the rows ``block`` of ``pool`` against a query of spectrum
+    ``fq`` and norm ``qnorm``: each row's maximum cross-correlation over
+    all lags, divided by the two norms."""
     nfft = 2 * (len(fq) - 1)
-    prod = np.fft.rfft(_stack(entries, block), nfft, axis=1)
+    prod = np.fft.rfft(gather(pool.values, pool.starts[block], pool.width), nfft, axis=1)
     np.conj(prod, out=prod)
     circ = np.fft.irfft(np.multiply(fq, prod, out=prod), nfft, axis=1)
-    return _peaks(circ, L) / (qnorm * norms[block])
+    return _peaks(circ, pool.width) / (qnorm * pool.norms[block])
 
 
 def best_candidates(
-    query: Window, pool: CandidatePool, subsets: list[np.ndarray]
+    query: np.ndarray, series_id: str, pool: CandidatePool, subsets: list[np.ndarray]
 ) -> list[tuple[int, float] | None]:
-    """Each subset's best pool entry by :func:`ncc_max` score against the query.
+    """Each subset's best pool row by :func:`ncc_max` score against ``query``,
+    the input of a window of series ``series_id``.
 
-    ``subsets`` are arrays of pool indices.  A subset's winner is
-    ``(index, score)`` of its highest-scoring usable entry, the lowest
-    index on ties, or ``None`` when none is usable; entries from the
-    query's own series and all-zero entries are unusable and never
-    correlated, nor are rows whose bound or float32 screen shows they
-    cannot win (module docstring).
+    ``subsets`` are arrays of pool rows.  A subset's winner is
+    ``(row, score)`` of its highest-scoring usable row, the lowest on
+    ties, or ``None`` when none is usable; rows of the query's series and
+    all-zero rows are unusable and never correlated, nor are rows whose
+    bound or float32 screen shows they cannot win (module docstring).
     Raises the errors of :func:`retrieve_best` but the missing candidate.
     """
-    if not pool.entries:
+    if not len(pool):
         raise EmptyPoolError(f"pool for domain {pool.domain!r} is empty")
-    q = np.asarray(query.input, dtype=np.float64)
+    q = np.asarray(query, dtype=np.float64)
     L = len(q)
     if pool.width != L:
         raise InconsistentWindowLengthError(
@@ -252,7 +253,8 @@ def best_candidates(
     member = np.zeros((len(subsets), len(pool)), dtype=bool)
     for j, idx in enumerate(subsets):
         member[j, idx] = True
-    member &= (pool.norms > 0.0) & (pool.series_ids != query.series_id)
+    own = pool.series_ids.index(series_id) if series_id in pool.series_ids else -1
+    member &= (pool.norms > 0.0) & (pool.series != own)
     live = member.any(axis=1)
     rows = np.flatnonzero(member.any(axis=0))
     fq = np.fft.rfft(q, _fft_size(L))
@@ -282,7 +284,7 @@ def best_candidates(
     # a row can win a subset only if its screen + eps reaches the subset's floor
     wins = (member[:, block] & (screened + eps >= floor[:, None])).any(axis=0)
     block = np.sort(block[wins])
-    block_scores = _block_scores(fq, L, qnorm, pool.entries, pool.norms, block)
+    block_scores = _block_scores(fq, qnorm, pool, block)
     scores = np.where(member[:, block], block_scores, -np.inf)
     return [
         (int(block[k]), float(row[k])) if row[k] > -np.inf else None
@@ -293,21 +295,23 @@ def best_candidates(
 def retrieve_best(
     query: Window, pool: CandidatePool
 ) -> tuple[Window, SimilarityResult]:
-    """Pool entry maximizing :func:`ncc_max` against the query input.
-
-    The winner is :func:`best_candidates`' over the whole pool: entries
-    from the query's own series and all-zero entries are skipped, and
-    ties between candidates go to the lowest pool index.
+    """The pool row maximizing :func:`ncc_max` against the query input, as
+    a new :class:`Window`: :func:`best_candidates`' winner over the whole
+    pool, rows of the query's series and all-zero rows skipped, ties to
+    the lowest row.
     """
-    (won,) = best_candidates(query, pool, [np.arange(len(pool))])
+    (won,) = best_candidates(query.input, query.series_id, pool, [np.arange(len(pool))])
     if won is None:
-        raise no_candidate(query, pool)
+        raise no_candidate(query.series_id, pool)
     idx, score = won
-    return pool.entries[idx], SimilarityResult(float(np.clip(score, -1.0, 1.0)), idx)
+    start, k = int(pool.starts[idx]), int(pool.series[idx])
+    inp, future = np.split(pool.values[start:][: pool.width + pool.horizon], [pool.width])
+    example = Window(pool.series_ids[k], start - int(pool.offsets[k]), inp, future)
+    return example, SimilarityResult(float(np.clip(score, -1.0, 1.0)), idx)
 
 
 def subsample_indices(n: int, fraction: float, seed: int) -> np.ndarray:
-    """Sorted indices of the ``ceil(fraction * n)`` entries a subsample keeps.
+    """Sorted indices of the ``ceil(fraction * n)`` rows a subsample keeps.
 
     Drawn uniformly without replacement, reproducibly for a fixed seed;
     ``fraction=1.0`` keeps every index.
@@ -322,16 +326,11 @@ def subsample_indices(n: int, fraction: float, seed: int) -> np.ndarray:
 
 
 def subsample_pool(pool: CandidatePool, fraction: float, seed: int) -> CandidatePool:
-    """Pool of the entries :func:`subsample_indices` keeps, in their order.
+    """Pool of the rows :func:`subsample_indices` keeps, in their order.
 
     Selection is reproducible for a fixed seed and preserves the original
-    entry order; ``fraction=1.0`` returns an identical pool.
+    row order; ``fraction=1.0`` returns an identical pool.
     """
-    idx = subsample_indices(len(pool.entries), fraction, seed)
-    return CandidatePool(
-        domain=pool.domain,
-        entries=[pool.entries[i] for i in idx],
-        fraction=fraction,
-        seed=seed,
-    )
+    idx = subsample_indices(len(pool), fraction, seed)
+    return dataclasses.replace(pool, starts=pool.starts[idx], fraction=fraction, seed=seed)
 

@@ -41,7 +41,9 @@ n, te, h, tt = map(int, sys.argv[1:])
 rng = np.random.default_rng(21)
 train = [ContextWindow(rng.normal(size=te), rng.normal(size=h), rng.normal(size=tt),
                        h, rng.normal(size=h)) for _ in range(n)]
-fc, final_mse = train_linear(train, reg=1e-3)
+X = np.array([c.flat() for c in train])
+Y = np.array([c.target_future for c in train])
+fc, final_mse = train_linear(X, Y, 1e-3, (te, h, tt))
 print(hashlib.sha256(fc.weights.tobytes()).hexdigest(), final_mse.hex())
 """
 
@@ -49,6 +51,13 @@ print(hashlib.sha256(fc.weights.tobytes()).hexdigest(), final_mse.hex())
 def win(inp, fut, sid="s", start=0):
     return Window(series_id=sid, start=start, input=np.asarray(inp, float),
                   future=np.asarray(fut, float))
+
+
+def fit(contexts, reg):
+    """:func:`train_linear` on ``contexts`` stacked into its matrices."""
+    X = np.array([c.flat() for c in contexts])
+    Y = np.array([c.target_future for c in contexts])
+    return train_linear(X, Y, reg, Budget(*contexts[0].segments))
 
 
 def make_ctx(rng, budget, with_future=True, copy_structure=False):
@@ -163,7 +172,7 @@ class TestTrainLinear:
     def test_learns_example_copy_structure(self):
         rng = np.random.default_rng(3)
         train = self._contexts(60, True, rng)
-        fc, final_mse = train_linear(train, reg=1e-6)
+        fc, final_mse = fit(train, reg=1e-6)
         held = self._contexts(20, True, np.random.default_rng(99))
         for ctx in held:
             assert np.allclose(fc.forecast(ctx), ctx.example_future, atol=1e-3)
@@ -171,7 +180,7 @@ class TestTrainLinear:
 
     def test_single_context_well_posed(self):
         rng = np.random.default_rng(4)
-        fc, final_mse = train_linear(self._contexts(1, False, rng), reg=1.0)
+        fc, final_mse = fit(self._contexts(1, False, rng), reg=1.0)
         assert np.all(np.isfinite(fc.weights))
         assert final_mse >= 0.0
 
@@ -179,15 +188,15 @@ class TestTrainLinear:
         rng = np.random.default_rng(5)
         ctx = make_ctx(rng, self.budget)
         with pytest.raises(SingularSystemError):
-            train_linear([ctx, ctx, ctx], reg=0.0)
+            fit([ctx, ctx, ctx], reg=0.0)
         # more contexts than the 11 features, but only 3 distinct ones
         with pytest.raises(SingularSystemError):
-            train_linear(self._contexts(3, False, rng) * 8, reg=0.0)
+            fit(self._contexts(3, False, rng) * 8, reg=0.0)
 
     def test_full_rank_primal_side_fits_without_reg(self):
         rng = np.random.default_rng(15)
         train = self._contexts(40, False, rng)
-        fc, final_mse = train_linear(train, reg=0.0)
+        fc, final_mse = fit(train, reg=0.0)
         A = np.array([np.append(c.flat(), 1.0) for c in train])
         Y = np.array([c.target_future for c in train])
         expected = ridge_lstsq(A, Y, 0.0)
@@ -208,7 +217,7 @@ class TestTrainLinear:
         rng = np.random.default_rng(seed)
         n = max(1, budget.total + 1 + offset)
         train = [make_ctx(rng, budget) for _ in range(n)]
-        fc, final_mse = train_linear(train, reg=reg)
+        fc, final_mse = fit(train, reg=reg)
         A = np.array([np.append(c.flat(), 1.0) for c in train])
         Y = np.array([c.target_future for c in train])
         expected = ridge_lstsq(A, Y, reg)
@@ -220,7 +229,7 @@ class TestTrainLinear:
         rng = np.random.default_rng(6)
         train = self._contexts(30, False, rng)
         reg = 0.37
-        fc, final_mse = train_linear(train, reg=reg)
+        fc, final_mse = fit(train, reg=reg)
         dim = self.budget.total
         A = np.array([np.append(c.flat(), 1.0) for c in train])
         Y = np.array([c.target_future for c in train])
@@ -236,12 +245,13 @@ class TestTrainLinear:
         # is added to its diagonal in place
         rng = np.random.default_rng(8)
         budget = Budget(512, 96, 512)
-        train = [make_ctx(rng, budget) for _ in range(156)]
+        X = rng.normal(size=(156, budget.total))
+        Y = rng.normal(size=(156, budget.horizon))
         n_features = budget.total + 1
         gram_bytes = n_features * n_features * 8
         tracemalloc.start()
         try:
-            fc, _ = train_linear(train, reg=1e-3)
+            fc, _ = train_linear(X, Y, 1e-3, budget)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -268,7 +278,7 @@ class TestTrainLinear:
     def test_training_mse_bounds_context_average(self):
         rng = np.random.default_rng(7)
         train = self._contexts(25, False, rng)
-        fc, final_mse = train_linear(train, reg=1e-2)
+        fc, final_mse = fit(train, reg=1e-2)
         per_ctx = [
             float(np.sum((fc.forecast(c) - c.target_future) ** 2)) for c in train
         ]
@@ -278,7 +288,7 @@ class TestTrainLinear:
         rng = np.random.default_rng(8)
         train = self._contexts(40, False, rng)
         losses = [
-            train_linear(train, reg=r)[1]
+            fit(train, reg=r)[1]
             for r in (1e-6, 1e-4, 1e-2, 1.0, 1e2)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
@@ -290,7 +300,7 @@ class TestTrainLinear:
         budget = Budget(3, 2, 3)
         train = [make_ctx(rng, budget) for _ in range(10)]
         reg = 0.05
-        fc, final_mse = train_linear(train, reg=reg)
+        fc, final_mse = fit(train, reg=reg)
         A = np.array([np.append(c.flat(), 1.0) for c in train])
         Y = np.array([c.target_future for c in train])
         d = A.shape[1]
@@ -312,13 +322,16 @@ class TestTrainLinear:
         assert res.fun == pytest.approx(final_mse * len(train), rel=1e-9)
 
     def test_empty_and_invalid(self):
+        dim, h = self.budget.total, self.budget.horizon
         with pytest.raises(EmptyTrainingSetError):
-            train_linear([], reg=1.0)
+            train_linear(np.empty((0, dim)), np.empty((0, h)), 1.0, self.budget)
         rng = np.random.default_rng(10)
-        with pytest.raises(EmptyTrainingSetError):
-            train_linear([make_ctx(rng, self.budget, with_future=False)], reg=1.0)
-        with pytest.raises(ValueError):
-            train_linear([make_ctx(rng, self.budget)], reg=-1.0)
+        X, Y = rng.normal(size=(3, dim)), rng.normal(size=(3, h))
+        for bad_x, bad_y in [(X[:, 1:], Y), (X, Y[:2]), (X, Y[:, :1])]:
+            with pytest.raises(ValueError, match="contexts and"):
+                train_linear(bad_x, bad_y, 1.0, self.budget)
+        with pytest.raises(ValueError, match="reg must be"):
+            fit([make_ctx(rng, self.budget)], reg=-1.0)
 
 
 class TestForecastDispatch:
@@ -353,7 +366,7 @@ class TestForecastDispatch:
         with pytest.raises(ModeMismatchError):
             forecast(ExampleCopyForecaster(), zs_ctx)
         rng = np.random.default_rng(13)
-        fc, _ = train_linear([make_ctx(rng, Budget(4, 2, 4)) for _ in range(12)], reg=0.1)
+        fc, _ = fit([make_ctx(rng, Budget(4, 2, 4)) for _ in range(12)], reg=0.1)
         with pytest.raises(ModeMismatchError):
             forecast(fc, zs_ctx)
 
@@ -361,7 +374,7 @@ class TestForecastDispatch:
         # average training error never exceeds the reported objective value
         rng = np.random.default_rng(14)
         train = [make_ctx(rng, Budget(4, 2, 4)) for _ in range(30)]
-        fc, final_mse = train_linear(train, reg=1e-3)
+        fc, final_mse = fit(train, reg=1e-3)
         sses = [
             float(np.sum((forecast(fc, c) - c.target_future) ** 2)) for c in train
         ]

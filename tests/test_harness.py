@@ -1,4 +1,5 @@
 import collections
+import csv
 import dataclasses
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 import ratfm.harness as harness
 import ratfm.retrieval as retrieval
 from oracles import exhaustive_best, exhaustive_scores
-from ratfm.dataset import make_windows
+from pools import pool_of, row_window
+from ratfm.dataset import Window, make_windows
 from ratfm.errors import (
     ConfigError,
     DatasetError,
@@ -28,11 +31,13 @@ from ratfm.errors import (
 )
 from ratfm.forecast import (
     Budget,
+    ContextWindow,
     ExampleCopyForecaster,
     LinearForecaster,
     SeasonalNaiveForecaster,
     assemble_context,
     forecast,
+    train_linear,
     zero_shot_context,
 )
 from ratfm.harness import (
@@ -87,24 +92,31 @@ def subsampled(cfg, data, fraction):
     )
 
 
+def query_window(cfg, series, start):
+    """The retrieval query of the window at ``start``: the last
+    ``example_len`` points of its input, and its future."""
+    te, h, tt = cfg.budget
+    at = start + h + tt
+    return Window(series.id, at, series.values[at : at + te], series.values[at + te : at + te + h])
+
+
 def retrieval_queries(cfg, data):
-    """(series id, query start) of every test window's retrieval query."""
-    te = cfg.budget.example_len
+    """(series id, query values) of every test window's retrieval query."""
     return {
-        (s.id, harness._retrieval_query(w, te).start)
+        (s.id, query_window(cfg, s, start).input.tobytes())
         for s in data.series
-        for w in harness._windows(cfg, s, "test")
+        for start in harness._window_starts(cfg, s, "test")
     }
 
 
 def spy_scores(monkeypatch):
-    """List that records (series id, query start) per best_candidates call."""
+    """List that records (series id, query values) per best_candidates call."""
     calls = []
     real = retrieval.best_candidates
 
-    def spy(query, pool, subsets):
-        calls.append((query.series_id, query.start))
-        return real(query, pool, subsets)
+    def spy(query, series_id, pool, subsets):
+        calls.append((series_id, query.tobytes()))
+        return real(query, series_id, pool, subsets)
 
     monkeypatch.setattr(retrieval, "best_candidates", spy)
     monkeypatch.setattr(harness, "best_candidates", spy)
@@ -276,19 +288,19 @@ class TestPrepareRun:
 class TestLazyPools:
     def test_zero_shot_cuts_no_pool(self, monkeypatch):
         cfg = config()
-        lengths = []
-        real = harness.make_windows
+        cuts = []
+        real = harness.window_starts
 
         def spy(series, region, input_len, horizon, stride):
-            lengths.append(input_len)
+            cuts.append((region, input_len))
             return real(series, region, input_len, horizon, stride)
 
-        monkeypatch.setattr(harness, "make_windows", spy)
+        monkeypatch.setattr(harness, "window_starts", spy)
         data = prepare_run(cfg)
         assert run_setting(cfg, "zero_shot_naive", data=data).per_series
         assert data.pools == {}
         # seasonal naive reads the test region at the windows' starts only
-        assert lengths == []
+        assert set(cuts) == {("test", cfg.budget.total)}
 
     @pytest.mark.parametrize("region", ["train", "full"])
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
@@ -302,7 +314,7 @@ class TestLazyPools:
         assert sorted(data.pools) == ["dom0", "dom1"]
         for dom, pool in data.pools.items():
             cut = [
-                (w.series_id, w.start)
+                w
                 for s in data.series
                 if s.domain == dom
                 for r in regions
@@ -310,23 +322,27 @@ class TestLazyPools:
             ]
             kept = retrieval.subsample_indices(len(cut), fraction, cfg.seed)
             assert (len(kept) < len(cut)) == (fraction < 1.0)
-            assert [(e.series_id, e.start) for e in pool.entries] == [
-                cut[i] for i in kept
+            rows = [row_window(pool, row) for row in range(len(pool))]
+            assert [(w.series_id, w.start) for w in rows] == [
+                (cut[i].series_id, cut[i].start) for i in kept
             ]
+            for w, i in zip(rows, kept):
+                assert w.input.tobytes() == cut[i].input.tobytes()
+                assert w.future.tobytes() == cut[i].future.tobytes()
 
     def test_threads_touching_a_domain_first_cut_its_pool_once(self, monkeypatch):
         cfg = config()
         data = prepare_run(cfg)
         domain = data.series[0].domain
         calls = []
-        real = harness.make_windows
+        real = harness.window_starts
 
         def slow(series, region, *args):
             calls.append((series.id, region))
             time.sleep(0.02)
             return real(series, region, *args)
 
-        monkeypatch.setattr(harness, "make_windows", slow)
+        monkeypatch.setattr(harness, "window_starts", slow)
         built = []
         real_pool = harness.CandidatePool
 
@@ -354,6 +370,27 @@ class TestLazyPools:
         ids = [s.id for s in data.series if s.domain == domain]
         assert collections.Counter(calls) == {(sid, "train"): 1 for sid in ids}
         assert built == [domain]
+
+    def test_a_pool_retains_little_per_row_beyond_its_spectra(self):
+        # one domain of the benchmark's consumers_default workload: 900 rows
+        # of 512 points, 8 apart.  Window objects, their list and a per-row
+        # series-id string array retained 460 B a row; values held once
+        # and int starts, 104
+        cfg = config(
+            synth=SynthSpec(domains=1, series_per_domain=4, seed=1),
+            budget=Budget(512, 96, 512),
+            pool_stride=8,
+        )
+        data = prepare_run(cfg)
+        tracemalloc.start()
+        try:
+            pool = harness._domain_pool(data, "dom0")
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(pool) == 900
+        arrays = pool.spectra.nbytes + pool.mags.nbytes + pool.norms.nbytes
+        assert (retained - arrays) / len(pool) < 128
 
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
     def test_pools_record_their_fraction_and_seed(self, fraction):
@@ -387,19 +424,28 @@ class TestSharedRetrieval:
 
     def test_examples_are_retrieve_best_winners(self):
         cfg = config(workers=4)
+        te, h, _ = cfg.budget
         data = prepare_run(cfg)
         run_setting(cfg, "ratfm_linear", data=data)
+        by_id = {s.id: s for s in data.series}
         n_examples = 0
         for s in data.series:
             for region in ("test", "train"):
-                windows, (examples,) = harness._retrieved(data, s, region)
-                for w, example in zip(windows, examples):
-                    query = harness._retrieval_query(w, cfg.budget.example_len)
+                (examples,) = harness._retrieved(data, s, region)
+                starts = harness._window_starts(cfg, s, region)
+                for start, example in zip(starts, examples):
+                    query = query_window(cfg, s, start)
                     try:
-                        assert example is retrieve_best(query, data.pools[s.domain])[0]
-                        n_examples += 1
+                        best, sim = retrieve_best(query, data.pools[s.domain])
                     except RatfmError as exc:
                         assert example == str(exc)
+                        continue
+                    assert example == sim.candidate_index
+                    # the returned window is its series' values at its start
+                    values = by_id[best.series_id].values[best.start :]
+                    assert best.input.tobytes() == values[:te].tobytes()
+                    assert best.future.tobytes() == values[te : te + h].tobytes()
+                    n_examples += 1
         assert n_examples > 0
 
     def test_fractions_are_cached_one_by_one(self, monkeypatch):
@@ -407,15 +453,16 @@ class TestSharedRetrieval:
         data = prepare_run(cfg)
         s = data.series[0]
         calls = spy_scores(monkeypatch)
-        windows, both = harness._retrieved(data, s, "test", (1.0, 0.5))
-        assert len(calls) == len(windows) > 0
+        both = harness._retrieved(data, s, "test", (1.0, 0.5))
+        n_windows = len(harness._window_starts(cfg, s, "test"))
+        assert len(calls) == n_windows == len(both[0]) > 0
         calls.clear()
-        assert harness._retrieved(data, s, "test", (0.5,))[1][0] is both[1]
-        assert harness._retrieved(data, s, "test", (1.0,))[1][0] is both[0]
+        assert harness._retrieved(data, s, "test", (0.5,))[0] is both[1]
+        assert harness._retrieved(data, s, "test", (1.0,))[0] is both[0]
         assert calls == []
         harness._retrieved(data, s, "test", (0.25,))
         assert collections.Counter(calls) == dict.fromkeys(calls, 1)
-        assert len(calls) == len(windows)
+        assert len(calls) == n_windows
 
     def test_sweep_on_a_prepared_run_reuses_its_examples(self, monkeypatch):
         cfg = config(bootstrap_iterations=0)
@@ -432,28 +479,21 @@ class TestSharedRetrieval:
         assert collections.Counter(calls) == dict.fromkeys(queries, 1)
         assert prepares == []
 
-    def test_windows_are_cut_once_per_prepared_run(self, monkeypatch):
+    def test_runs_build_no_window_objects(self, monkeypatch):
+        # pool rows, test windows and contexts are starts into arrays
         cfg = config(workers=4)
-        te, h, tt = cfg.budget
-        calls = []
-        real = harness.make_windows
-
-        def spy(series, region, input_len, horizon, stride):
-            if input_len == te + h + tt:  # not a pool window
-                calls.append((series.id, region, horizon, stride))
-            return real(series, region, input_len, horizon, stride)
-
-        monkeypatch.setattr(harness, "make_windows", spy)
         data = prepare_run(cfg)
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError(f"a run built a {type(self).__name__}")
+
+        monkeypatch.setattr(Window, "__init__", forbidden)
+        monkeypatch.setattr(ContextWindow, "__init__", forbidden)
         run_setting(cfg, "ratfm_copy", data=data)
         run_setting(cfg, "ratfm_linear", data=data)
         similarity_diagnostics(cfg, data=data)
-        ids = [s.id for s in data.series]
-        expected = {(sid, region, h, h) for sid in ids for region in ("test", "train")}
-        assert collections.Counter(calls) == dict.fromkeys(expected, 1)
-        calls.clear()
         sweep_pool_fraction(cfg, [1.0, 0.5])  # prepares its own run
-        assert collections.Counter(calls) == {(sid, "test", h, h): 1 for sid in ids}
+        assert data.pools
 
     @pytest.mark.parametrize(
         "field, value",
@@ -491,21 +531,20 @@ class TestPrunedRetrieval:
         # test queries planted under other series
         cfg = config(workers=4)
         data = prepare_run(cfg)
-        te = cfg.budget.example_len
-        pools = {}
+        pools, entries = {}, {}
         for dom, pool in domain_pools(data).items():
-            entries = list(pool.entries)
-            entries += [dataclasses.replace(e) for e in pool.entries]
+            rows = [row_window(pool, row) for row in range(len(pool))]
+            entries[dom] = rows + rows
             ids = [s.id for s in data.series if s.domain == dom]
             for s in data.series:
                 if s.domain == dom:
-                    w = harness._windows(cfg, s, "test")[1]
-                    query = harness._retrieval_query(w, te)
+                    start = harness._window_starts(cfg, s, "test")[1]
+                    query = query_window(cfg, s, start)
                     other = next(sid for sid in ids if sid != s.id)
                     planted = dataclasses.replace(query, series_id=other)
-                    entries.insert(len(entries) // 3, planted)
-            assert len(entries) > 4 * retrieval._CHUNK_ROWS
-            pools[dom] = retrieval.CandidatePool(domain=dom, entries=entries)
+                    entries[dom].insert(len(entries[dom]) // 3, planted)
+            assert len(entries[dom]) > 4 * retrieval._CHUNK_ROWS
+            pools[dom] = pool_of(entries[dom], domain=dom)
         data = PreparedRun(
             config=cfg, series=data.series, periods=data.periods, pools=pools
         )
@@ -514,14 +553,13 @@ class TestPrunedRetrieval:
         n_ties = 0
         for s in data.series:
             pool = pools[s.domain]
-            windows, found = harness._retrieved(data, s, "test", fractions)
-            for i, w in enumerate(windows):
-                query = harness._retrieval_query(w, te)
-                scores = exhaustive_scores(query, pool.entries)
+            found = harness._retrieved(data, s, "test", fractions)
+            for i, start in enumerate(harness._window_starts(cfg, s, "test")):
+                scores = exhaustive_scores(query_window(cfg, s, start), entries[s.domain])
                 for f, examples in zip(fractions, found):
                     kept = retrieval.subsample_indices(len(pool), f, cfg.seed)
                     idx = exhaustive_best(scores, kept)
-                    assert examples[i] is pool.entries[idx]
+                    assert examples[i] == idx
                     n_ties += int(np.sum(scores[kept] == scores[idx]) > 1)
         assert n_ties > 0
 
@@ -537,11 +575,10 @@ class TestPrunedRetrieval:
             correlated[0] += len(args[-1])
             return real_screen(*args)
 
-        def best_spy(query, pool, subsets):
-            usable[0] += int(
-                np.sum((pool.norms > 0) & (pool.series_ids != query.series_id))
-            )
-            return real_best(query, pool, subsets)
+        def best_spy(query, series_id, pool, subsets):
+            own = pool.series_ids.index(series_id)
+            usable[0] += int(np.sum((pool.norms > 0) & (pool.series != own)))
+            return real_best(query, series_id, pool, subsets)
 
         monkeypatch.setattr(retrieval, "_screen_scores", screen_spy)
         monkeypatch.setattr(harness, "best_candidates", best_spy)
@@ -763,58 +800,168 @@ class TestSeriesAtATime:
         monkeypatch.setattr(harness, "_EVAL_BLOCK_POINTS", self.ROWS * BUDGET.horizon)
         data = prepare_run(cfg)
         series = data.series[0]
-        windows = harness._windows(cfg, series, "test")
+        windows = make_windows(series, "test", BUDGET.total, BUDGET.horizon, stride)
         assert len(windows) > 2 * self.ROWS
-        # any in-domain windows serve as examples; retrieval is not under test
-        pool = make_windows(data.series[1], "train", BUDGET.example_len, BUDGET.horizon, 5)
+        # any rows of the domain pool serve as examples; retrieval is not under test
+        pool = harness._domain_pool(data, series.domain)
         picks = np.random.default_rng(stride).integers(0, len(pool), len(windows))
-        return cfg, series, data.periods[series.id], windows, [pool[i] for i in picks]
+        return cfg, series, data.periods[series.id], windows, pool, picks.tolist()
 
     @pytest.mark.parametrize("stride", [1, BUDGET.horizon - 1, BUDGET.horizon])
     @pytest.mark.parametrize("setting", harness.SETTINGS)
     def test_raw_scores_equal_a_per_window_loop(self, monkeypatch, setting, stride):
         # overlapping windows (a stride below the horizon) add several terms
         # to one point, which must be summed in window order
-        cfg, series, period, windows, examples = self.case(monkeypatch, stride)
+        cfg, series, period, windows, pool, rows = self.case(monkeypatch, stride)
+        examples = [row_window(pool, row) for row in rows]
         if setting == "zero_shot_naive":
-            examples, forecaster = None, SeasonalNaiveForecaster(period)
+            pool, rows, examples = None, None, None
+            forecaster = SeasonalNaiveForecaster(period)
         elif setting == "ratfm_copy":
             forecaster = ExampleCopyForecaster()
         else:
             weights = np.random.default_rng(5).standard_normal((BUDGET.horizon, BUDGET.total + 1))
             forecaster = LinearForecaster(weights / BUDGET.total, BUDGET)
-        # only ratfm_linear reads the windows; the rest score from their starts
-        targets = windows if setting == "ratfm_linear" else None
-        _, dump = harness._eval_series(
-            series, cfg, setting, period, targets, examples, forecaster
-        )
+        _, dump = harness._eval_series(series, cfg, setting, period, pool, rows, forecaster)
         expected = per_window_raw(series, BUDGET, forecaster, windows, examples)
         assert dump.raw.tobytes() == expected.tobytes()
 
     def test_first_failed_retrieval_is_raised(self, monkeypatch):
-        cfg, series, period, windows, examples = self.case(monkeypatch, BUDGET.horizon)
+        cfg, series, period, _, pool, examples = self.case(monkeypatch, BUDGET.horizon)
         examples[2 * self.ROWS + 1] = "second"
         examples[self.ROWS + 3] = "first"
         with pytest.raises(RatfmError, match="^first$"):
-            harness._eval_series(series, cfg, "ratfm_copy", period, windows, examples, None)
+            harness._eval_series(series, cfg, "ratfm_copy", period, pool, examples, None)
 
     def test_non_finite_forecast_before_a_failed_retrieval_is_raised(self, monkeypatch):
-        cfg, series, period, windows, examples = self.case(monkeypatch, BUDGET.horizon)
+        cfg, series, period, _, pool, examples = self.case(monkeypatch, BUDGET.horizon)
         examples[self.ROWS + 3] = "failed"
         weights = np.zeros((BUDGET.horizon, BUDGET.total + 1))
         weights[0, -1] = np.nan
         trained = LinearForecaster(weights, BUDGET)
         with pytest.raises(ValueError, match="linear produced non-finite values"):
             harness._eval_series(
-                series, cfg, "ratfm_linear", period, windows, examples, trained
+                series, cfg, "ratfm_linear", period, pool, examples, trained
             )
 
     def test_period_longer_than_the_target_input_is_raised(self, monkeypatch):
-        cfg, series, _, windows, _ = self.case(monkeypatch, BUDGET.horizon)
+        cfg, series, *_ = self.case(monkeypatch, BUDGET.horizon)
         with pytest.raises(PeriodTooLongError, match="exceeds target input length"):
             harness._eval_series(
-                series, cfg, "zero_shot_naive", BUDGET.total + 1, windows, None, None
+                series, cfg, "zero_shot_naive", BUDGET.total + 1, None, None, None
             )
+
+
+# a small dataset and budget the differential test runs many configs on
+_DIFF_BUDGET = Budget(16, 8, 16)
+_DIFF_SPEC = SynthSpec(
+    domains=2, series_per_domain=2, train_len=200, test_len=160, noise_std=0.05,
+    anomaly_len=(8, 16), seed=7,
+)
+
+
+def loop_rows(cfg, data, domain):
+    """A domain's pool rows as windows, cut and subsampled to ``pool_fraction``."""
+    te, h, _ = cfg.budget
+    stride = cfg.pool_stride or max(1, h // 12)
+    regions = ["train"] if cfg.retrieval_region == "train" else ["train", "test"]
+    rows = [
+        w
+        for s in data.series
+        if s.domain == domain
+        for r in regions
+        for w in make_windows(s, r, te, h, stride)
+    ]
+    return [rows[i] for i in retrieval.subsample_indices(len(rows), cfg.pool_fraction, cfg.seed)]
+
+
+def loop_examples(cfg, series, region, rows, fraction):
+    """Per window of ``series``' region: the window, its example among the
+    rows ``subsample_indices`` keeps of ``rows`` (None if none is usable),
+    and whether that example ties its runner-up within 1e-9."""
+    te, h, tt = cfg.budget
+    kept = retrieval.subsample_indices(len(rows), fraction, cfg.seed)
+    stride = cfg.eval_stride or h
+    out = []
+    for w in make_windows(series, region, te + h + tt, h, stride):
+        query = dataclasses.replace(w, start=w.start + h + tt, input=w.input[h + tt :])
+        scores = exhaustive_scores(query, rows)
+        idx = exhaustive_best(scores, kept)
+        tie = idx is not None and np.sum(scores[kept] >= scores[idx] - 1e-9) > 1
+        out.append((w, None if idx is None else rows[idx], tie))
+    return out
+
+
+def loop_forecaster(cfg, data, rows):
+    """The linear forecaster fit on the loop's retrieval-augmented training
+    contexts, and whether any training example tied."""
+    contexts, tied = [], False
+    for s in data.series:
+        for w, example, tie in loop_examples(cfg, s, "train", rows[s.domain], 1.0):
+            tied |= tie
+            if example is not None:
+                contexts.append(assemble_context(w, example, cfg.budget))
+    X = np.array([c.flat() for c in contexts])
+    Y = np.array([c.target_future for c in contexts])
+    return train_linear(X, Y, cfg.ridge_reg, cfg.budget)[0], tied
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    eval_stride=st.integers(1, _DIFF_BUDGET.horizon),
+    pool_stride=st.integers(1, 12),
+    pool_fraction=st.sampled_from([1.0, 0.6, 0.15]),
+    sweep_fraction=st.sampled_from([0.5, 0.05]),
+    region=st.sampled_from(["train", "full"]),
+)
+def test_raw_scores_equal_a_per_window_retrieve_and_forecast_loop(
+    eval_stride, pool_stride, pool_fraction, sweep_fraction, region
+):
+    # the retrieval and forecast slice, end to end: run_setting and a
+    # sweep's subsampled pools against exhaustive retrieval, assemble_context
+    # and forecast, one window at a time
+    cfg = ExperimentConfig(
+        synth=_DIFF_SPEC,
+        budget=_DIFF_BUDGET,
+        bootstrap_iterations=0,
+        seed=3,
+        eval_stride=eval_stride,
+        pool_stride=pool_stride,
+        pool_fraction=pool_fraction,
+        retrieval_region=region,
+    )
+    data = prepare_run(cfg)
+    rows = {s.domain: loop_rows(cfg, data, s.domain) for s in data.series}
+    linear, train_tied = loop_forecaster(cfg, data, rows)
+    for setting in ("ratfm_copy", "ratfm_linear"):
+        reports = {
+            1.0: run_setting(cfg, setting, data=data),
+            sweep_fraction: sweep_pool_fraction(
+                cfg, [sweep_fraction], setting, data=data
+            ).reports[sweep_fraction],
+        }
+        forecaster = ExampleCopyForecaster() if setting == "ratfm_copy" else linear
+        for fraction, report in reports.items():
+            for s in data.series:
+                found = loop_examples(cfg, s, "test", rows[s.domain], fraction)
+                windows, examples, ties = zip(*found)
+                if None in examples:
+                    assert s.id in report.skipped
+                    continue
+                raw = report.score_dumps[s.id].raw
+                expected = per_window_raw(s, cfg.budget, forecaster, windows, examples)
+                if setting == "ratfm_linear" and train_tied:
+                    assert np.allclose(raw, expected, rtol=1e-6, atol=1e-6)
+                    continue
+                # points a tied window touches may take either example
+                touched = np.zeros(len(raw), dtype=bool)
+                first = windows[0].start + cfg.budget.total
+                for w, tie in zip(windows, ties):
+                    if tie:
+                        local = w.start + cfg.budget.total - first
+                        touched[local : local + cfg.budget.horizon] = True
+                assert raw.shape == expected.shape
+                assert raw[~touched].tobytes() == expected[~touched].tobytes()
 
 
 class TestSweep:
@@ -872,7 +1019,7 @@ class TestSweep:
         assert set(diag.per_domain) == {"dom0"}
         dom0 = [s for s in data.series if s.domain == "dom0"]
         assert diag.overall["n_windows"] == sum(
-            len(harness._windows(cfg, s, "test")) for s in dom0
+            len(harness._window_starts(cfg, s, "test")) for s in dom0
         )
 
     def test_fraction_without_a_usable_row(self):
@@ -881,7 +1028,7 @@ class TestSweep:
         fraction = 0.001  # keeps one entry per domain
         sub = subsampled(cfg, data, fraction)
         assert all(len(pool) == 1 for pool in sub.pools.values())
-        owners = {pool.entries[0].series_id: dom for dom, pool in sub.pools.items()}
+        owners = {pool.series_ids[pool.series[0]]: dom for dom, pool in sub.pools.items()}
         sweep = sweep_pool_fraction(cfg, [1.0, fraction])
         report = sweep.reports[fraction]
         assert report.skipped == {
@@ -890,7 +1037,7 @@ class TestSweep:
         }
         assert report.to_json() == run_setting(cfg, "ratfm_copy", data=sub).to_json()
         assert sweep.reports[1.0].skipped == {}
-        n_windows = {s.id: len(harness._windows(cfg, s, "test")) for s in data.series}
+        n_windows = {s.id: len(harness._window_starts(cfg, s, "test")) for s in data.series}
         full = similarity_diagnostics(cfg, data=data).overall["n_windows"]
         assert full == sum(n_windows.values())
         kept = similarity_diagnostics(cfg, data=sub).overall["n_windows"]
@@ -903,6 +1050,25 @@ class TestSweep:
         assert seq.rows == par.rows
         for f in (1.0, 0.5):
             assert seq.reports[f].to_json() == par.reports[f].to_json()
+
+
+def test_csvs_quote_a_domain_holding_a_comma_and_a_quote(tmp_path):
+    data_dir = tmp_path / "data"
+    for path in write_synthetic(dataclasses.replace(SPEC, domains=1), data_dir):
+        path.rename(path.with_name(path.name.replace("_dom0_", '_d,"x_')))
+    cfg = config(synth=None, dataset_root=str(data_dir), bootstrap_iterations=0)
+    data = prepare_run(cfg)
+    sweep = sweep_pool_fraction(cfg, [1.0, 0.5], data=data)
+    diag = similarity_diagnostics(cfg, data=data)
+    sweep.write_csv(tmp_path / "sweep.csv")
+    diag.write_csv(tmp_path / "diagnostics.csv")
+    with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1:] == [[repr(f), 'd,"x', repr(v), str(n)] for f, _, v, n in sweep.rows]
+    with open(tmp_path / "diagnostics.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rec = diag.per_domain['d,"x']
+    assert rows[1:] == [['d,"x', *(repr(rec[k]) for k in rows[0][1:4]), str(rec["n_windows"])]]
 
 
 class TestDiagnostics:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import ratfm.retrieval as retrieval
 from oracles import exhaustive_best, exhaustive_scores, ncc_direct
+from pools import pool_of, same_window
 from ratfm.dataset import Window
 from ratfm.errors import (
     EmptyPoolError,
@@ -20,7 +21,6 @@ from ratfm.errors import (
 from ratfm.retrieval import (
     _CHUNK_ROWS,
     CandidatePool,
-    best_candidates,
     ncc_max,
     retrieve_best,
     subsample_indices,
@@ -31,6 +31,11 @@ from ratfm.retrieval import (
 def win(sid, start, inp, fut=(0.0, 0.0)):
     return Window(series_id=sid, start=start, input=np.asarray(inp, float),
                   future=np.asarray(fut, float))
+
+
+def best_candidates(query, pool, subsets):
+    """:func:`ratfm.retrieval.best_candidates` on a window's input and series."""
+    return retrieval.best_candidates(query.input, query.series_id, pool, subsets)
 
 
 class TestNccMax:
@@ -112,7 +117,7 @@ class TestRetrieveBest:
         q = win("query", 0, rng.normal(size=16))
         entries = [win(f"c{i}", 0, rng.normal(size=16)) for i in range(4)]
         entries.insert(2, win("twin", 0, q.input.copy(), fut=(9.0, 9.0)))
-        pool = CandidatePool(domain="d", entries=entries)
+        pool = pool_of(entries)
         best, sim = retrieve_best(q, pool)
         assert best.series_id == "twin"
         assert sim.score == pytest.approx(1.0, abs=1e-9)
@@ -123,15 +128,15 @@ class TestRetrieveBest:
         rng = np.random.default_rng(3)
         q = win("q", 0, rng.normal(size=8))
         only = win("other", 0, rng.normal(size=8))
-        best, _ = retrieve_best(q, CandidatePool(domain="d", entries=[only]))
-        assert best is only
+        best, _ = retrieve_best(q, pool_of([only]))
+        assert same_window(best, only)
 
     def test_matches_exhaustive_argmax(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             q = win("q", 0, rng.normal(size=24))
             entries = [win(f"c{i}", 0, rng.normal(size=24)) for i in range(5)]
-            pool = CandidatePool(domain="d", entries=entries)
+            pool = pool_of(entries)
             scores = [ncc_direct(q.input, e.input)[0] for e in entries]
             best, sim = retrieve_best(q, pool)
             assert sim.candidate_index == int(np.argmax(scores))
@@ -141,30 +146,30 @@ class TestRetrieveBest:
         rng = np.random.default_rng(29)
         q = win("mine", 0, rng.normal(size=12))
         entries = [win("mine", 0, q.input.copy()), win("other", 0, rng.normal(size=12))]
-        best, _ = retrieve_best(q, CandidatePool(domain="d", entries=entries))
+        best, _ = retrieve_best(q, pool_of(entries))
         assert best.series_id == "other"
 
     def test_empty_pool(self):
         q = win("q", 0, np.ones(4))
         with pytest.raises(EmptyPoolError):
-            retrieve_best(q, CandidatePool(domain="d", entries=[]))
+            retrieve_best(q, pool_of([], width=4))
         with pytest.raises(EmptyPoolError):
-            retrieve_best(q, CandidatePool(domain="d", entries=[win("q", 0, np.ones(4))]))
+            retrieve_best(q, pool_of([win("q", 0, np.ones(4))]))
 
     def test_inconsistent_window_length(self):
         q = win("q", 0, np.ones(4))
-        pool = CandidatePool(domain="d", entries=[win("o", 0, np.ones(6))])
+        pool = pool_of([win("o", 0, np.ones(6))])
         with pytest.raises(InconsistentWindowLengthError):
             retrieve_best(q, pool)
 
     def test_ragged_pool_rejected(self):
-        with pytest.raises(InconsistentWindowLengthError):
-            CandidatePool(
-                domain="d", entries=[win("a", 0, np.ones(4)), win("b", 0, np.ones(6))]
-            )
+        # rows of 4 + 2 points from starts 0 and 3 need 9 values, not 8
+        for starts in ([0, 3], [-1, 0]):
+            with pytest.raises(InconsistentWindowLengthError):
+                CandidatePool("d", np.ones(8), ("a",), [0], starts, 4, 2)
 
     def test_zero_norm_query(self):
-        pool = CandidatePool(domain="d", entries=[win("o", 0, np.ones(4))])
+        pool = pool_of([win("o", 0, np.ones(4))])
         with pytest.raises(ZeroNormVectorError):
             retrieve_best(win("q", 0, np.zeros(4)), pool)
 
@@ -197,9 +202,9 @@ class TestRetrieveBestAcrossBlocks:
     def assert_matches_oracle(self, query, entries):
         assert len(entries) > 2 * _CHUNK_ROWS and len(entries) % _CHUNK_ROWS
         idx, score = oracle_best(query, entries)
-        best, sim = retrieve_best(query, CandidatePool(domain="d", entries=entries))
+        best, sim = retrieve_best(query, pool_of(entries))
         assert sim.candidate_index == idx
-        assert best is entries[idx]
+        assert same_window(best, entries[idx])
         assert abs(sim.score - score) < 1e-9
         return sim
 
@@ -281,7 +286,7 @@ def screen_eps(query):
 
 
 class TestCandidateScores:
-    def grouped_pool(self, rng, L=40):
+    def grouped_entries(self, rng, L=40):
         """Entries grouped by series like a domain pool, with the query's
         own series spanning whole blocks and a few all-zero entries."""
         entries = []
@@ -289,17 +294,18 @@ class TestCandidateScores:
             entries += [win(sid, i, rng.normal(size=L)) for i in range(n)]
         for i in (3, 100, len(entries) - 1):
             entries[i] = win(entries[i].series_id, i, np.zeros(L))
-        return CandidatePool(domain="d", entries=entries)
+        return entries
 
     def test_unusable_rows_score_minus_inf_and_the_rest_match_all_rows(self, monkeypatch):
         rng = np.random.default_rng(5)
-        pool = self.grouped_pool(rng)
+        entries = self.grouped_entries(rng)
+        pool = pool_of(entries)
         blocks = spy_blocks(monkeypatch)
         screens = spy_screens(monkeypatch)
         subsets = [np.arange(len(pool)), np.arange(0, len(pool), 3), np.arange(60, 80)]
         for _ in range(10):
             query = win("q", 0, rng.normal(size=40))
-            full = exhaustive_scores(query, pool.entries)
+            full = exhaustive_scores(query, entries)
             usable = full > -np.inf
             blocks.clear()
             screens.clear()
@@ -316,15 +322,16 @@ class TestCandidateScores:
                 idx = exhaustive_best(full, subset)
                 assert won == (idx, full[idx])
             for i in np.flatnonzero(usable)[::17]:
-                direct = ncc_direct(query.input, pool.entries[i].input)[0]
+                direct = ncc_direct(query.input, entries[i].input)[0]
                 assert abs(full[i] - direct) < 1e-9
 
     def test_correlates_only_usable_rows(self, monkeypatch):
         rng = np.random.default_rng(6)
-        pool = self.grouped_pool(rng)
+        entries = self.grouped_entries(rng)
+        pool = pool_of(entries)
         queries = [win("q", i, rng.normal(size=40)) for i in range(3)]
         usable = {
-            i for i, e in enumerate(pool.entries) if e.series_id != "q" and np.any(e.input)
+            i for i, e in enumerate(entries) if e.series_id != "q" and np.any(e.input)
         }
         retrieve_best(queries[0], pool)  # builds the pool's spectra
         real_rfft, real_irfft = np.fft.rfft, np.fft.irfft
@@ -380,7 +387,7 @@ class TestCandidateScores:
         query = win("q", 0, rng.normal(size=L))
         entries = [win(f"c{i % 6}", i, rng.normal(size=L)) for i in range(240)]
         entries.insert(150, win("t", 0, 2.0 * query.input))
-        pool = CandidatePool(domain="d", entries=entries)
+        pool = pool_of(entries)
         q = np.asarray(query.input)
         fq = np.fft.rfft(q, retrieval._fft_size(L))
         bounds = retrieval._score_bounds(fq, float(np.linalg.norm(q)), pool.mags)
@@ -404,7 +411,7 @@ class TestCandidateScores:
             win(f"c{i % 4}", i, np.roll(shape, i % 3) + 1e-3 * rng.normal(size=L))
             for i in range(300)
         ]
-        pool = CandidatePool(domain="d", entries=entries)
+        pool = pool_of(entries)
         full = exhaustive_scores(query, entries)
         subsets = [np.arange(300), subsample_indices(300, 0.5, 3), np.arange(7, 300, 5)]
         winners = [exhaustive_best(full, subset) for subset in subsets]
@@ -430,7 +437,7 @@ class TestCandidateScores:
         for i in range(_CHUNK_ROWS + 7, len(entries), 2):
             entries[i] = win("t", i, strong.copy())
         entries[5] = win("q", 5, strong.copy())  # own series never wins
-        pool = CandidatePool(domain="d", entries=entries)
+        pool = pool_of(entries)
         subsets = [
             np.arange(len(entries)),
             np.array([5, 2 * _CHUNK_ROWS + 51, 2 * _CHUNK_ROWS + 1]),
@@ -441,14 +448,12 @@ class TestCandidateScores:
         assert full[0] == _CHUNK_ROWS + 7
         assert late[0] == 2 * _CHUNK_ROWS + 1 and late[1] == full[1]
         assert own is None and empty is None
-        pool = CandidatePool(domain="d", entries=[win("q", 0, strong)])
+        pool = pool_of([win("q", 0, strong)])
         with pytest.raises(EmptyPoolError, match="no candidate outside series 'q'"):
             retrieve_best(query, pool)
 
     def test_no_usable_row_raises_before_correlating(self, monkeypatch):
-        pool = CandidatePool(
-            domain="d", entries=[win("q", 0, np.ones(4)), win("o", 0, np.zeros(4))]
-        )
+        pool = pool_of([win("q", 0, np.ones(4)), win("o", 0, np.zeros(4))])
         blocks = spy_blocks(monkeypatch)
         screens = spy_screens(monkeypatch)
         query = win("q", 1, np.ones(4))
@@ -501,7 +506,7 @@ def pool_case(case):
 @given(_POOL_CASES)
 def test_stored_bound_covers_every_usable_score(case):
     query, entries = pool_case(case)
-    pool = CandidatePool(domain="d", entries=entries)
+    pool = pool_of(entries)
     q = np.asarray(query.input, dtype=np.float64)
     fq = np.fft.rfft(q, retrieval._fft_size(len(q)))
     bounds = retrieval._score_bounds(fq, float(np.linalg.norm(q)), pool.mags)
@@ -514,7 +519,7 @@ def test_stored_bound_covers_every_usable_score(case):
 @given(_POOL_CASES)
 def test_screen_is_within_eps_of_every_usable_score(case):
     query, entries = pool_case(case)
-    pool = CandidatePool(domain="d", entries=entries)
+    pool = pool_of(entries)
     q = np.asarray(query.input, dtype=np.float64)
     fq = np.fft.rfft(q, retrieval._fft_size(len(q)))
     fq32, eps = retrieval._screen_query(fq, float(np.linalg.norm(q)))
@@ -527,9 +532,7 @@ def test_screen_is_within_eps_of_every_usable_score(case):
 def test_threads_sharing_a_pool_screen_and_score_the_serial_rows(monkeypatch):
     rng = np.random.default_rng(31)
     n_rows = _CHUNK_ROWS + 36
-    pool = CandidatePool(
-        domain="d", entries=[win(f"c{i}", i, rng.normal(size=32)) for i in range(n_rows)]
-    )
+    pool = pool_of([win(f"c{i}", i, rng.normal(size=32)) for i in range(n_rows)])
     n_threads = 4  # more threads than the CPUs of a small test host
     queries = [win("q", i, rng.normal(size=32)) for i in range(n_threads)]
     screens = spy_screens(monkeypatch)
@@ -571,16 +574,17 @@ def test_pool_build_peaks_near_its_stored_arrays():
     # float64 stack and complex128 spectrum would add about 24 MB
     L, n, stride = 512, 4096, 8
     x = np.random.default_rng(41).normal(size=n * stride + L)
-    entries = [win(f"s{i // 1000}", i, x[i * stride : i * stride + L]) for i in range(n)]
+    starts, ids = np.arange(n) * stride, ("s0", "s1", "s2", "s3", "s4")
+    offsets = np.arange(len(ids)) * 1000 * stride
     tracemalloc.start()
     try:
-        pool = CandidatePool(domain="d", entries=entries)
+        pool = CandidatePool("d", x, ids, offsets, starts, L, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     spectra, mags = pool.spectra, pool.mags
     nbins = retrieval._fft_size(L) // 2 + 1
-    stored = pool.norms.nbytes + pool.series_ids.nbytes + spectra.nbytes + mags.nbytes
+    stored = pool.norms.nbytes + spectra.nbytes + mags.nbytes
     chunk = _CHUNK_ROWS * nbins * np.dtype(np.complex128).itemsize
     assert peak <= stored + 4 * chunk
     # 12 bytes per pool row and bin: complex64 spectra, float32 magnitudes
@@ -591,9 +595,10 @@ def test_pool_build_peaks_near_its_stored_arrays():
 class TestSubsample:
     def _pool(self, n):
         rng = np.random.default_rng(1)
-        return CandidatePool(
-            domain="d", entries=[win(f"s{i}", i, rng.normal(size=8)) for i in range(n)]
-        )
+        return pool_of([win(f"s{i}", i, rng.normal(size=8)) for i in range(n)])
+
+    def rows(self, pool):
+        return [(pool.series_ids[k], start) for k, start in zip(pool.series, pool.starts)]
 
     def test_quarter_of_hundred(self):
         sub = subsample_pool(self._pool(100), 0.25, seed=0)
@@ -602,18 +607,18 @@ class TestSubsample:
     def test_identity_fraction(self):
         pool = self._pool(10)
         sub = subsample_pool(pool, 1.0, seed=99)
-        assert [e.series_id for e in sub.entries] == [e.series_id for e in pool.entries]
+        assert self.rows(sub) == self.rows(pool)
 
     def test_deterministic(self):
         pool = self._pool(50)
         a = subsample_pool(pool, 0.5, seed=7)
         b = subsample_pool(pool, 0.5, seed=7)
-        assert [e.series_id for e in a.entries] == [e.series_id for e in b.entries]
+        assert self.rows(a) == self.rows(b)
 
     def test_order_preserved(self):
         pool = self._pool(30)
         sub = subsample_pool(pool, 0.4, seed=3)
-        positions = [int(e.series_id[1:]) for e in sub.entries]
+        positions = [int(sid[1:]) for sid, _ in self.rows(sub)]
         assert positions == sorted(positions)
 
     def test_invalid_fraction(self):
@@ -632,5 +637,5 @@ class TestSubsample:
         pool = self._pool(40)
         idx = subsample_indices(len(pool), fraction, seed=9)
         sub = subsample_pool(pool, fraction, seed=9)
-        assert len(sub.entries) == len(idx)
-        assert all(pool.entries[i] is e for i, e in zip(idx, sub.entries))
+        assert self.rows(sub) == [self.rows(pool)[i] for i in idx]
+        assert sub.values is pool.values
