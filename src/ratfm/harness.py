@@ -325,14 +325,14 @@ def _retrieved(
     """Per fraction, the example row of each of a series' windows in ``region``.
 
     A window's query, its input's last ``example_len`` points, is scored
-    once for all fractions (:func:`best_candidates`); a fraction's
-    example is the best pool row among those :func:`subsample_indices`
-    keeps (as in a pool passed through :func:`subsample_pool`), the
-    lowest on ties, or the message of the :class:`RatfmError` retrieval
-    raised.  Examples are cached per prepared run, series, region and
-    fraction.  No lock is held while retrieving: two threads fill the
-    same entry only when a caller runs two consumers on one ``data`` at
-    once, and both then store the same examples.
+    once for all fractions, in one :func:`best_candidates` call per series;
+    a fraction's example is the best pool row among those
+    :func:`subsample_indices` keeps (as in a pool passed through
+    :func:`subsample_pool`), the lowest on ties, or the message of the
+    :class:`RatfmError` retrieval raised.  Examples are cached per prepared
+    run, series, region and fraction.  No lock is held while retrieving:
+    two threads fill the same entry only when a caller runs two consumers
+    on one ``data`` at once, and both then store the same examples.
     """
     key = (series.id, region)
     missing = [f for f in fractions if key + (f,) not in data._examples]
@@ -340,20 +340,18 @@ def _retrieved(
         pool = _domain_pool(data, series.domain)
         kept = [subsample_indices(len(pool), f, data.config.seed) for f in missing]
         te, h, tt = data.config.budget
-        found: list[list] = [[] for _ in missing]
-        for start in _window_starts(data.config, series, region):
-            query = series.values[start + h + tt : start + te + h + tt]
-            try:
-                picks = [
-                    won[0] if won else str(no_candidate(series.id, pool))
-                    for won in best_candidates(query, series.id, pool, kept)
-                ]
-            except RatfmError as exc:
-                picks = [str(exc)] * len(missing)
-            for examples, pick in zip(found, picks):
-                examples.append(pick)
-        for f, examples in zip(missing, found):
-            data._examples[key + (f,)] = examples
+        starts = np.add(_window_starts(data.config, series, region), h + tt)
+        queries = gather(series.values, starts, te)
+        try:
+            batch = best_candidates(queries, series.id, pool, kept)
+        except RatfmError as exc:
+            batch = [exc] * len(queries)
+        for j, f in enumerate(missing):
+            data._examples[key + (f,)] = [
+                str(won) if isinstance(won, RatfmError)
+                else won[j][0] if won[j] else str(no_candidate(series.id, pool))
+                for won in batch
+            ]
     return [data._examples[key + (f,)] for f in fractions]
 
 

@@ -9,15 +9,19 @@ Retrieval is exact and pruned by cascaded bounds, as in the UCR suite
 (Rakthanmanon et al., KDD 2012): a spectral bound, a float32 screen,
 then the float64 score.  With ``nfft >= 2L - 1`` every lag obeys
 ``|cc_k| <= (1/nfft) * sum_f w_f |Q_f| |C_f|`` over the rfft bins, ``w_f``
-1 at DC and Nyquist and 2 elsewhere.  :func:`best_candidates` screens
-rows best bound first, in index-sorted blocks (8 rows, so floors exist
-before many rows are screened, then 64 at a time), until the next bound
-is below (``<``, so ties are screened) the lowest floor of the subsets
-asked for.  The float32 bound's terms and sum over ``n`` bins round off
-by at most a relative ``(n + 2) * 2**-24`` (Higham, "Accuracy and
-Stability of Numerical Algorithms", ch. 4); it is raised by
-``(n + 3) * 2**-20``, and by ``1e-9`` for a computed score's float64 FFT
-round-off, about ``2**-53 * log2(nfft)``.
+1 at DC and Nyquist and 2 elsewhere: for a batch of queries, one float32
+product with the rows' ``|C_f| / |c|``, ``np.abs`` of their stored
+complex64 spectra.  :func:`best_candidates` screens a query's rows best
+bound first, in index-sorted blocks (8 rows, so floors exist before many
+rows are screened, then 64 at a time), until the next bound is below
+(``<``, so ties are screened) the lowest floor of the subsets asked for.
+With ``u = 2**-24``, each float32 term is within ``7u`` (``u`` to round
+``C_f / |c|`` to complex64, 2 ulp for numpy's modulus, 1.98 seen, ``u``
+each for the query weight's cast and the product) and their sum over
+``n`` bins, in any order, within ``(n + 6) u`` (Higham, "Accuracy and
+Stability of Numerical Algorithms", ch. 3-4); the bound is raised by
+``(n + 3) * 2**-20``, ``16 (n + 3) u``, and by ``1e-9`` for a computed
+score's float64 FFT round-off, about ``2**-53 * log2(nfft)``.
 
 The screen correlates a block's rows against ``fq / |q|`` in complex64
 (``irfft`` in float32), from each row's conjugate spectrum over its
@@ -29,8 +33,7 @@ that set the floor.  The rest are scored once, in row order, in
 float64 from their values, so each winner and score is bitwise the
 exhaustive one.
 
-With ``u = 2**-24``, ``s32`` differs from the computed float64 score by
-at most the sum of
+``s32`` differs from the computed float64 score by at most the sum of
   * ``6u`` times the row's bound, itself ``<= 1`` by Cauchy-Schwarz and
     Parseval: rounding both unit-norm spectra to complex64 (``u`` each)
     and their complex64 product (``2 sqrt(2) u``, Higham ch. 3) moves
@@ -72,8 +75,10 @@ class SimilarityResult:
     candidate_index: int = -1
 
 
-# rows per chunk of a pool's build, and per screened block after the first
+# rows per chunk of a pool's spectra, built or bounded, and per screened block after the first
 _CHUNK_ROWS = 64
+# bounds (rows x queries) or query bins per batch: 2 MiB in float64, as much for the argsort
+_BATCH_CELLS = 1 << 18
 
 
 @dataclass(eq=False)
@@ -85,10 +90,9 @@ class CandidatePool:
     points from its start, then ``horizon`` future points.  Rows of the
     query's own series are excluded at retrieval time.  ``fraction`` and
     ``seed`` record how the pool was subsampled.  The constructor stores,
-    per row, its series (``series``), norm (``norms``), the complex64
+    per row, its series (``series``), norm (``norms``) and the complex64
     conjugate of its ``_fft_size(width)``-point spectrum over its norm
-    (``spectra``) and the float32 magnitude of that spectrum over the
-    norm (``mags``), built :data:`_CHUNK_ROWS` rows at a time.
+    (``spectra``), built :data:`_CHUNK_ROWS` rows at a time.
     """
 
     domain: str
@@ -113,7 +117,6 @@ class CandidatePool:
         nfft = _fft_size(self.width)
         self.norms = np.empty(n)
         self.spectra = np.empty((n, nfft // 2 + 1), dtype=np.complex64)
-        self.mags = np.empty(self.spectra.shape, dtype=np.float32)
         for lo in range(0, n, _CHUNK_ROWS):
             rows = slice(lo, lo + _CHUNK_ROWS)
             stack = gather(self.values, self.starts[rows], self.width)
@@ -122,7 +125,6 @@ class CandidatePool:
             spectrum = np.fft.rfft(stack, nfft, axis=1)
             scale = np.where(norms > 0.0, norms, 1.0)[:, None]
             # divided in float64, then cast: unit-norm values cannot overflow float32
-            np.divide(np.abs(spectrum), scale, out=self.mags[rows])
             np.divide(np.conj(spectrum, out=spectrum), scale, out=self.spectra[rows])
 
     def __len__(self) -> int:
@@ -169,19 +171,22 @@ def no_candidate(series_id: str, pool: CandidatePool) -> EmptyPoolError:
     )
 
 
-def _score_bounds(fq: np.ndarray, qnorm: float, mags: np.ndarray) -> np.ndarray:
-    """Per pool row, an upper bound on the score :func:`_block_scores`
-    computes against a query of spectrum ``fq`` and norm ``qnorm``, from
-    the pool's float32 unit-norm magnitudes ``mags`` (module docstring)."""
-    n = len(fq)
-    weighted = np.abs(fq) / qnorm
-    weighted[1:-1] *= 2.0  # every bin but DC and Nyquist has a conjugate twin
+def _score_bounds(fqs, qnorms, spectra, rows) -> np.ndarray:
+    """Per query (spectra ``fqs``, norms ``qnorms``) and row in ``rows``, an upper
+    bound on its :func:`_block_scores` score, from unit-norm ``spectra`` (module docstring)."""
+    n = fqs.shape[1]
+    weighted = np.abs(fqs) / qnorms[:, None]
+    weighted[:, 1:-1] *= 2.0  # every bin but DC and Nyquist has a conjugate twin
     weighted = weighted.astype(np.float32)
+    bounds = np.empty((len(fqs), len(rows)))
     # both operands are finite and >= 0, so an invalid flag from the float32
-    # BLAS mat-vec is spurious (seen once in ~25 runs of a 2 x 5 product)
+    # BLAS product is spurious (seen once in ~25 runs of a 2 x 5 mat-vec)
     with np.errstate(invalid="ignore"):
-        sums = (mags @ weighted).astype(np.float64)
-    return sums * ((1.0 + (n + 3) * 2.0**-20) / (2 * (n - 1))) + 1e-9
+        for lo in range(0, len(rows), _CHUNK_ROWS):
+            mags = np.abs(spectra[rows[lo : lo + _CHUNK_ROWS]])
+            bounds[:, lo : lo + _CHUNK_ROWS] = weighted @ mags.T
+    bounds *= (1.0 + (n + 3) * 2.0**-20) / (2 * (n - 1))
+    return np.add(bounds, 1e-9, out=bounds)
 
 
 def _screen_query(fq: np.ndarray, qnorm: float) -> tuple[np.ndarray, float]:
@@ -203,10 +208,9 @@ def _peaks(circ: np.ndarray, L: int) -> np.ndarray:
 
 
 def _screen_scores(fq32, L, spectra, block) -> np.ndarray:
-    """Float32 estimates, within the screen's ``eps``, of the scores of the
-    pool rows ``block`` against a length-``L`` query of unit-norm complex64
-    spectrum ``fq32``; as float64, so that adding ``eps`` is not rounded
-    to float32."""
+    """Float32 estimates, within the screen's ``eps``, of the scores of the pool rows
+    ``block`` against a length-``L`` query of unit-norm complex64 spectrum ``fq32``;
+    as float64, so that adding ``eps`` is not rounded to float32."""
     nfft = 2 * (len(fq32) - 1)
     prod = spectra[block]
     circ = np.fft.irfft(np.multiply(fq32, prod, out=prod), nfft, axis=1)
@@ -214,9 +218,8 @@ def _screen_scores(fq32, L, spectra, block) -> np.ndarray:
 
 
 def _block_scores(fq, qnorm, pool, block) -> np.ndarray:
-    """Scores of the rows ``block`` of ``pool`` against a query of spectrum
-    ``fq`` and norm ``qnorm``: each row's maximum cross-correlation over
-    all lags, divided by the two norms."""
+    """Scores of the rows ``block`` of ``pool`` against a query of spectrum ``fq`` and
+    norm ``qnorm``: each row's maximum cross-correlation over all lags, over both norms."""
     nfft = 2 * (len(fq) - 1)
     prod = np.fft.rfft(gather(pool.values, pool.starts[block], pool.width), nfft, axis=1)
     np.conj(prod, out=prod)
@@ -225,61 +228,74 @@ def _block_scores(fq, qnorm, pool, block) -> np.ndarray:
 
 
 def best_candidates(
-    query: np.ndarray, series_id: str, pool: CandidatePool, subsets: list[np.ndarray]
-) -> list[tuple[int, float] | None]:
-    """Each subset's best pool row by :func:`ncc_max` score against ``query``,
-    the input of a window of series ``series_id``.
+    queries: np.ndarray, series_id: str, pool: CandidatePool, subsets: list[np.ndarray]
+) -> list[list[tuple[int, float] | None] | ZeroNormVectorError]:
+    """Per row of ``queries``, inputs of windows of series ``series_id``: each
+    subset's best pool row by :func:`ncc_max` score against it, or the
+    :class:`ZeroNormVectorError` of an all-zero query.
 
-    ``subsets`` are arrays of pool rows.  A subset's winner is
-    ``(row, score)`` of its highest-scoring usable row, the lowest on
-    ties, or ``None`` when none is usable; rows of the query's series and
-    all-zero rows are unusable and never correlated, nor are rows whose
-    bound or float32 screen shows they cannot win (module docstring).
-    Raises the errors of :func:`retrieve_best` but the missing candidate.
-    """
+    ``subsets`` are arrays of pool rows.  A subset's winner is ``(row, score)``
+    of its highest-scoring usable row, the lowest on ties, or ``None`` when
+    none is usable; rows of the query's series and all-zero rows are unusable
+    and never correlated, nor are rows whose bound or float32 screen shows
+    they cannot win (module docstring).  Queries are bounded and ordered in
+    batches of :data:`_BATCH_CELLS` bounds or bins.  An empty pool or a bad
+    length raises."""
     if not len(pool):
         raise EmptyPoolError(f"pool for domain {pool.domain!r} is empty")
-    q = np.asarray(query, dtype=np.float64)
-    L = len(q)
+    queries = np.asarray(queries, dtype=np.float64)
+    L = queries.shape[1]
     if pool.width != L:
         raise InconsistentWindowLengthError(
             f"pool windows have length {pool.width}, query has {L}"
         )
     if L < 2:
         raise LengthMismatchError("query input must have length >= 2")
-    qnorm = float(np.linalg.norm(q))
-    if qnorm == 0.0:
-        raise ZeroNormVectorError("query window is all-zero")
     member = np.zeros((len(subsets), len(pool)), dtype=bool)
     for j, idx in enumerate(subsets):
         member[j, idx] = True
     own = pool.series_ids.index(series_id) if series_id in pool.series_ids else -1
     member &= (pool.norms > 0.0) & (pool.series != own)
-    live = member.any(axis=1)
     rows = np.flatnonzero(member.any(axis=0))
-    fq = np.fft.rfft(q, _fft_size(L))
+    step = max(1, _BATCH_CELLS // max(len(pool), _fft_size(L)))
+    found = []
+    for lo in range(0, len(queries), step):
+        # one 1-d norm per query, as the exhaustive score takes it, bit for bit
+        qnorms = np.array([np.linalg.norm(q) for q in queries[lo : lo + step]])
+        fqs = np.fft.rfft(queries[lo : lo + step], _fft_size(L), axis=1)
+        bounds = _score_bounds(fqs, np.where(qnorms > 0.0, qnorms, 1.0), pool.spectra, rows)
+        orders = np.argsort(-bounds, axis=1, kind="stable")
+        found += [
+            _winners(fq, qnorm, pool, member, rows[order], bound[order]) if qnorm > 0.0
+            else ZeroNormVectorError("query window is all-zero")
+            for fq, qnorm, bound, order in zip(fqs, qnorms, bounds, orders)
+        ]
+        del bounds, orders  # so that a batch's arrays do not outlive it
+    return found
+
+
+def _winners(fq, qnorm, pool, member, rows, bounds) -> list[tuple[int, float] | None]:
+    """The winners of the subsets of usable rows ``member`` against a query of
+    spectrum ``fq`` and norm ``qnorm``, screening ``rows`` by descending ``bounds``."""
     fq32, eps = _screen_query(fq, qnorm)
-    bounds = _score_bounds(fq, qnorm, pool.mags)[rows]
-    order = np.argsort(-bounds, kind="stable")
-    rows, bounds = rows[order], bounds[order]
-    # per subset, its highest s32 - eps so far: below its best score
-    floor = np.full(len(subsets), -np.inf)
+    # per subset, its highest s32 - eps so far (below its best score); +inf if none is usable
+    floor = np.where(member.any(axis=1), -np.inf, np.inf)
     blocks, screens = [], []
     lo, size = 0, 8  # a small first block, so floors exist before most rows
     while lo < len(rows):
         # bounds descend: the rows whose bound reaches the lowest floor lead
-        n_open = np.count_nonzero(bounds[lo : lo + size] >= floor[live].min())
+        n_open = np.count_nonzero(bounds[lo : lo + size] >= floor.min())
         if not n_open:
             break
         block = np.sort(rows[lo : lo + n_open])
         lo, size = lo + size, _CHUNK_ROWS
-        screened = _screen_scores(fq32, L, pool.spectra, block)
+        screened = _screen_scores(fq32, pool.width, pool.spectra, block)
         raised = np.where(member[:, block], screened - eps, -np.inf).max(axis=1)
         np.maximum(floor, raised, out=floor)
         blocks.append(block)
         screens.append(screened)
     if not blocks:
-        return [None] * len(subsets)
+        return [None] * len(member)
     block, screened = np.concatenate(blocks), np.concatenate(screens)
     # a row can win a subset only if its screen + eps reaches the subset's floor
     wins = (member[:, block] & (screened + eps >= floor[:, None])).any(axis=0)
@@ -295,12 +311,13 @@ def best_candidates(
 def retrieve_best(
     query: Window, pool: CandidatePool
 ) -> tuple[Window, SimilarityResult]:
-    """The pool row maximizing :func:`ncc_max` against the query input, as
-    a new :class:`Window`: :func:`best_candidates`' winner over the whole
-    pool, rows of the query's series and all-zero rows skipped, ties to
-    the lowest row.
-    """
-    (won,) = best_candidates(query.input, query.series_id, pool, [np.arange(len(pool))])
+    """The pool row maximizing :func:`ncc_max` against the query input, as a
+    new :class:`Window`: :func:`best_candidates`' winner over the whole pool,
+    rows of the query's series and all-zero rows skipped, ties to the lowest."""
+    (found,) = best_candidates([query.input], query.series_id, pool, [np.arange(len(pool))])
+    if isinstance(found, ZeroNormVectorError):
+        raise found
+    (won,) = found
     if won is None:
         raise no_candidate(query.series_id, pool)
     idx, score = won

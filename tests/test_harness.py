@@ -11,6 +11,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,13 +22,14 @@ import ratfm.harness as harness
 import ratfm.retrieval as retrieval
 from oracles import exhaustive_best, exhaustive_scores
 from pools import pool_of, row_window
-from ratfm.dataset import Window, make_windows
+from ratfm.dataset import LabeledSeries, Window, make_windows
 from ratfm.errors import (
     ConfigError,
     DatasetError,
     InvalidFractionError,
     PeriodTooLongError,
     RatfmError,
+    ZeroNormVectorError,
 )
 from ratfm.forecast import (
     Budget,
@@ -110,13 +112,14 @@ def retrieval_queries(cfg, data):
 
 
 def spy_scores(monkeypatch):
-    """List that records (series id, query values) per best_candidates call."""
+    """List that records (series id, query values) per query of each
+    best_candidates batch."""
     calls = []
     real = retrieval.best_candidates
 
-    def spy(query, series_id, pool, subsets):
-        calls.append((series_id, query.tobytes()))
-        return real(query, series_id, pool, subsets)
+    def spy(queries, series_id, pool, subsets):
+        calls.extend((series_id, query.tobytes()) for query in queries)
+        return real(queries, series_id, pool, subsets)
 
     monkeypatch.setattr(retrieval, "best_candidates", spy)
     monkeypatch.setattr(harness, "best_candidates", spy)
@@ -375,7 +378,7 @@ class TestLazyPools:
         # one domain of the benchmark's consumers_default workload: 900 rows
         # of 512 points, 8 apart.  Window objects, their list and a per-row
         # series-id string array retained 460 B a row; values held once
-        # and int starts, 104
+        # and int starts, 104.  Float32 magnitudes took 4 B per bin more
         cfg = config(
             synth=SynthSpec(domains=1, series_per_domain=4, seed=1),
             budget=Budget(512, 96, 512),
@@ -389,8 +392,8 @@ class TestLazyPools:
         finally:
             tracemalloc.stop()
         assert len(pool) == 900
-        arrays = pool.spectra.nbytes + pool.mags.nbytes + pool.norms.nbytes
-        assert (retained - arrays) / len(pool) < 128
+        nbins = retrieval._fft_size(512) // 2 + 1
+        assert retained / len(pool) <= 8 * nbins + 128
 
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
     def test_pools_record_their_fraction_and_seed(self, fraction):
@@ -575,15 +578,135 @@ class TestPrunedRetrieval:
             correlated[0] += len(args[-1])
             return real_screen(*args)
 
-        def best_spy(query, series_id, pool, subsets):
+        def best_spy(queries, series_id, pool, subsets):
             own = pool.series_ids.index(series_id)
-            usable[0] += int(np.sum((pool.norms > 0) & (pool.series != own)))
-            return real_best(query, series_id, pool, subsets)
+            usable[0] += len(queries) * int(np.sum((pool.norms > 0) & (pool.series != own)))
+            return real_best(queries, series_id, pool, subsets)
 
         monkeypatch.setattr(retrieval, "_screen_scores", screen_spy)
         monkeypatch.setattr(harness, "best_candidates", best_spy)
         run_setting(cfg, "ratfm_linear", data=data)
         assert 0 < correlated[0] < usable[0] / 2
+
+
+@st.composite
+def _retrieval_cases(draw):
+    """A one-domain run of 2-3 drawn series whose drawn region holds 3-10
+    windows each, the first series' middle query there all zero; the
+    region, fractions to retrieve, and queries per batch."""
+    budget = Budget(draw(st.integers(2, 10)), draw(st.integers(2, 4)), draw(st.integers(1, 6)))
+    te, h, tt = budget
+    stride = draw(st.integers(1, h))
+    cfg = ExperimentConfig(
+        synth=_DIFF_SPEC,  # unread: the run below is built from drawn series
+        budget=budget,
+        eval_stride=stride,
+        pool_stride=draw(st.integers(1, 4)),
+        pool_fraction=draw(st.sampled_from([1.0, 0.5])),
+        retrieval_region=draw(st.sampled_from(["train", "full"])),
+        seed=draw(st.integers(0, 99)),
+    )
+    # train and test regions of one span each
+    span = budget.total + h + stride * (draw(st.integers(3, 10)) - 1)
+    series = []
+    for k in range(draw(st.integers(2, 3))):
+        values = np.random.default_rng(draw(st.integers(0, 2**31 - 1))).normal(size=2 * span)
+        if draw(st.booleans()):  # periodic, so that many rows score near the best
+            period = draw(st.integers(3, 12))
+            values = np.sin(2 * np.pi * np.arange(2 * span) / period) + 1e-3 * values
+        values *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        series.append(LabeledSeries(f"s{k}", "d", values, span, ()))
+    region = draw(st.sampled_from(["train", "test"]))
+    starts = harness._window_starts(cfg, series[0], region)
+    at = starts[len(starts) // 2] + h + tt
+    values = series[0].values.copy()
+    values[at : at + te] = 0.0
+    series[0] = dataclasses.replace(series[0], values=values)
+    data = PreparedRun(config=cfg, series=series, periods={}, pools={})
+    fractions = draw(
+        st.lists(st.sampled_from([1.0, 0.5, 0.1]), min_size=1, max_size=3, unique=True)
+    )
+    return data, region, tuple(fractions), draw(st.integers(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_retrieval_cases())
+def test_retrieved_matches_the_exhaustive_oracle_across_batches(case):
+    # batches of one or two queries, so a series' windows span several
+    data, region, fractions, per_batch = case
+    cfg, s = data.config, data.series[0]
+    pool = harness._domain_pool(data, s.domain)
+    entries = [row_window(pool, row) for row in range(len(pool))]
+    cells = per_batch * max(len(pool), retrieval._fft_size(cfg.budget.example_len))
+    starts = harness._window_starts(cfg, s, region)
+    assert len(starts) > per_batch
+    with mock.patch.object(retrieval, "_BATCH_CELLS", cells):
+        found = harness._retrieved(data, s, region, fractions)
+    subsets = [retrieval.subsample_indices(len(pool), f, cfg.seed) for f in fractions]
+    n_zero = 0
+    for i, start in enumerate(starts):
+        query = query_window(cfg, s, start)
+        if not np.any(query.input):
+            n_zero += 1
+            (error,) = retrieval.best_candidates([query.input], s.id, pool, subsets)
+            assert isinstance(error, ZeroNormVectorError)
+            assert [examples[i] for examples in found] == [str(error)] * len(fractions)
+            continue
+        scores = exhaustive_scores(query, entries)
+        for kept, examples in zip(subsets, found):
+            idx = exhaustive_best(scores, kept)
+            if idx is None:
+                assert examples[i] == str(retrieval.no_candidate(s.id, pool))
+            elif np.sum(scores[kept] >= scores[idx] - 1e-9) > 1:
+                # a near-tie: any row within 1e-9 of the best may win
+                assert examples[i] in kept and scores[examples[i]] >= scores[idx] - 1e-9
+            else:
+                assert examples[i] == idx
+    assert n_zero == 1
+
+
+def test_a_series_retrieves_in_batches_of_bounded_memory(monkeypatch):
+    # a pool of 4 166 rows of 16 points: a batch holds 62 queries, and a
+    # series of four batches peaks as high as a series of one
+    budget = Budget(16, 2, 2)
+    te, h, tt = budget
+    rng = np.random.default_rng(3)
+
+    def series(sid, train_end, windows):
+        n = train_end + budget.total + h * windows
+        return LabeledSeries(sid, "d", rng.normal(size=n), train_end, ())
+
+    cfg = config(budget=budget, pool_stride=1)
+    sources = [series("a", 2100, 1), series("b", 2100, 1)]
+    data = PreparedRun(config=cfg, series=sources, periods={}, pools={})
+    per_batch = retrieval._BATCH_CELLS // len(harness._domain_pool(data, "d"))
+    assert len(data.pools["d"]) == 2 * (2100 - te - h + 1) and per_batch == 62
+    # query series whose train regions are too short for a pool row, so
+    # that the pool stays the same
+    queries = {"one": series("one", 10, per_batch), "four": series("four", 10, 4 * per_batch)}
+    data = PreparedRun(config=cfg, series=sources + list(queries.values()), periods={}, pools={})
+    assert len(harness._domain_pool(data, "d")) == len(data.pools["d"])
+    batches = []
+    real = retrieval._score_bounds
+
+    def spy(fqs, *args):
+        batches.append(len(fqs))
+        return real(fqs, *args)
+
+    monkeypatch.setattr(retrieval, "_score_bounds", spy)
+    harness._retrieved(data, sources[0], "test")  # FFT plans and first calls
+    peaks = {}
+    for name, s in queries.items():
+        batches.clear()
+        tracemalloc.start()
+        try:
+            found = harness._retrieved(data, s, "test")
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found[0]) == per_batch * len(batches)
+        assert batches == [per_batch] * len(batches)
+    assert peaks["four"] <= 1.1 * peaks["one"]
 
 
 class TestRunSetting:

@@ -34,8 +34,12 @@ def win(sid, start, inp, fut=(0.0, 0.0)):
 
 
 def best_candidates(query, pool, subsets):
-    """:func:`ratfm.retrieval.best_candidates` on a window's input and series."""
-    return retrieval.best_candidates(query.input, query.series_id, pool, subsets)
+    """:func:`ratfm.retrieval.best_candidates` on a batch of one window's
+    input: its winners, or its error raised."""
+    (won,) = retrieval.best_candidates([query.input], query.series_id, pool, subsets)
+    if isinstance(won, Exception):
+        raise won
+    return won
 
 
 class TestNccMax:
@@ -278,6 +282,15 @@ def rows_of(blocks):
     return np.concatenate([rows for rows, _ in blocks] or [np.array([], dtype=int)])
 
 
+def stored_bounds(queries, pool):
+    """Per query, the bound of every pool row against it, from the pool's
+    stored spectra."""
+    q = np.asarray(queries, dtype=np.float64)
+    fqs = np.fft.rfft(q, retrieval._fft_size(q.shape[1]), axis=1)
+    qnorms = np.array([np.linalg.norm(row) for row in q])
+    return retrieval._score_bounds(fqs, qnorms, pool.spectra, np.arange(len(pool)))
+
+
 def screen_eps(query):
     q = np.asarray(query.input, dtype=np.float64)
     return retrieval._screen_query(
@@ -335,10 +348,10 @@ class TestCandidateScores:
         }
         retrieve_best(queries[0], pool)  # builds the pool's spectra
         real_rfft, real_irfft = np.fft.rfft, np.fft.irfft
-        rows = {"rfft": 0, "1-d rfft": 0, "irfft32": 0, "irfft64": 0}
+        rows = {"rfft": 0, "irfft32": 0, "irfft64": 0}
 
         def counting_rfft(a, *args, **kwargs):
-            rows["rfft" if np.ndim(a) == 2 else "1-d rfft"] += len(np.atleast_2d(a))
+            rows["rfft"] += len(np.atleast_2d(a))
             return real_rfft(a, *args, **kwargs)
 
         def counting_irfft(a, *args, **kwargs):
@@ -364,9 +377,9 @@ class TestCandidateScores:
             assert set(scored) <= set(screened) <= usable
             # the screen's rows are its float32 irfft's; the scored rows
             # are the float64 rfft's and irfft's, besides the query's rfft
+            # (a batch of one)
             assert rows == {
-                "rfft": len(scored),
-                "1-d rfft": 1,
+                "rfft": len(scored) + 1,
                 "irfft32": len(screened),
                 "irfft64": len(scored),
             }
@@ -388,13 +401,13 @@ class TestCandidateScores:
         entries = [win(f"c{i % 6}", i, rng.normal(size=L)) for i in range(240)]
         entries.insert(150, win("t", 0, 2.0 * query.input))
         pool = pool_of(entries)
-        q = np.asarray(query.input)
-        fq = np.fft.rfft(q, retrieval._fft_size(L))
-        bounds = retrieval._score_bounds(fq, float(np.linalg.norm(q)), pool.mags)
+        (bounds,) = stored_bounds([query.input], pool)
         assert int(np.argmax(bounds)) == 150
         blocks = spy_blocks(monkeypatch)
         screens = spy_screens(monkeypatch)
-        ((idx, score),) = best_candidates(query, pool, [np.arange(len(pool))])
+        (((idx, score),),) = retrieval.best_candidates(
+            [query.input], "q", pool, [np.arange(len(pool))]
+        )
         assert idx == 150
         correlated = set(rows_of(blocks)) | set(rows_of(screens))
         assert len(correlated) <= 8 + np.count_nonzero(bounds >= score)
@@ -503,16 +516,28 @@ def pool_case(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_POOL_CASES)
-def test_stored_bound_covers_every_usable_score(case):
+@given(
+    _POOL_CASES,
+    st.lists(
+        st.tuples(st.integers(0, 2**31 - 1), st.sampled_from([1e-30, 1e-8, 1.0, 1e8, 1e30])),
+        max_size=3,
+    ),
+)
+def test_stored_bound_covers_every_usable_score(case, others):
+    # a batch of 1-4 queries of mixed magnitude, bounded by one product
     query, entries = pool_case(case)
+    L = len(query.input)
+    queries = [query] + [
+        win("q", 0, magnitude * np.random.default_rng(seed).normal(size=L))
+        for seed, magnitude in others
+    ]
     pool = pool_of(entries)
-    q = np.asarray(query.input, dtype=np.float64)
-    fq = np.fft.rfft(q, retrieval._fft_size(len(q)))
-    bounds = retrieval._score_bounds(fq, float(np.linalg.norm(q)), pool.mags)
-    scores = exhaustive_scores(query, entries)
-    usable = scores > -np.inf
-    assert np.all(bounds[usable] >= scores[usable])
+    bounds = stored_bounds([q.input for q in queries], pool)
+    assert bounds.shape == (len(queries), len(pool))
+    for q, bound in zip(queries, bounds):
+        scores = exhaustive_scores(q, entries)
+        usable = scores > -np.inf
+        assert np.all(bound[usable] >= scores[usable])
 
 
 @settings(max_examples=150, deadline=None)
@@ -579,17 +604,16 @@ def test_pool_build_peaks_near_its_stored_arrays():
     tracemalloc.start()
     try:
         pool = CandidatePool("d", x, ids, offsets, starts, L, 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    spectra, mags = pool.spectra, pool.mags
     nbins = retrieval._fft_size(L) // 2 + 1
-    stored = pool.norms.nbytes + spectra.nbytes + mags.nbytes
     chunk = _CHUNK_ROWS * nbins * np.dtype(np.complex128).itemsize
-    assert peak <= stored + 4 * chunk
-    # 12 bytes per pool row and bin: complex64 spectra, float32 magnitudes
-    assert spectra.shape == mags.shape == (n, nbins)
-    assert (spectra.dtype, mags.dtype) == (np.complex64, np.float32)
+    assert peak <= retained + 4 * chunk
+    # 8 bytes per pool row and bin, its complex64 spectrum, and a few more
+    # per row: no float32 magnitudes (4 bytes per bin) are kept
+    assert retained <= n * (8 * nbins + 128)
+    assert (pool.spectra.shape, pool.spectra.dtype) == ((n, nbins), np.complex64)
 
 
 class TestSubsample:
