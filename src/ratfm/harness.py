@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .dataset import (
@@ -340,8 +341,13 @@ def _retrieved(
         pool = _domain_pool(data, series.domain)
         kept = [subsample_indices(len(pool), f, data.config.seed) for f in missing]
         te, h, tt = data.config.budget
-        starts = np.add(_window_starts(data.config, series, region), h + tt)
-        queries = gather(series.values, starts, te)
+        starts = _window_starts(data.config, series, region)
+        # the queries as a strided view of the series, not a copy: starts are a range
+        first = starts.start + h + tt
+        queries = (
+            sliding_window_view(series.values, te)[first :: starts.step][: len(starts)]
+            if starts else np.empty((0, te))
+        )
         try:
             batch = best_candidates(queries, series.id, pool, kept)
         except RatfmError as exc:

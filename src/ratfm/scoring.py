@@ -217,7 +217,7 @@ def dump_scores_csv(
             for i in [*np.flatnonzero(odd).tolist(), len(rows)]:
                 if start < i:
                     text = orjson.dumps(rows[start:i])[2:-2]
-                    fh.writelines((head, text.replace(b"],[", tail + head), tail))
+                    fh.writelines((head, (tail + head).join(text.split(b"],[")), tail))
                 if i < len(rows):
                     t, r, s, lab = rows[i]
                     fh.writelines((head, f"{t},{r!r},{s!r},{lab}".encode(), tail))

@@ -92,7 +92,7 @@ _ODD = st.one_of(
     st.sampled_from(
         ["-0", "1_000", "+1", ".5", "1.", "01.5", "\u0661\u0662\u0663", "\uff11\uff12"]
         + ["nan", "-inf", "Infinity", "0x1f", "abc", "1,2", "[1", "1]", '"1"', "true"]
-        + ["[1]", "[1.5]", "1.5,", ",2.5", "{}"]
+        + ["[1]", "[1.5]", "1.5,", ",2.5", "{}", '"1.5"', "null", "[2.5]"]
     ),
 )
 _TOKEN = st.integers(0, 9).flatmap(lambda k: _ODD if k == 0 else _NUMBER)
@@ -214,6 +214,10 @@ class TestParse:
             ("1.5\n2.5 ,3.5\n4.5", "bad token ',3.5'"),
             ("0.5 1.5,2.5 3.5", "bad token '1.5,2.5'"),
             ("0.5\n[1.5]\n2.5", "bad token '[1.5]'"),
+            # as many dots as lines and values prove floats only without " or
+            # [: numpy reads a string "1.5" as 1.5, and lines of [1.5] as rows
+            ('0.5\n"1.5"\n2.5', "bad token '\"1.5\"'"),
+            ("[1.5]\n[1.5]\n[1.5]", "bad token '[1.5]'"),
         ],
     )
     def test_first_offending_token_is_named(self, tmp_path, text, message):

@@ -709,6 +709,38 @@ def test_a_series_retrieves_in_batches_of_bounded_memory(monkeypatch):
     assert peaks["four"] <= 1.1 * peaks["one"]
 
 
+def test_a_series_queries_are_not_gathered(monkeypatch):
+    # 1 000 queries of 1 024 points: gathered, they would take 8 MB, and their
+    # index array as much again (a 16.4 MB peak); as a strided view of the
+    # series they take none, and batches of 32 queries peak near 1.8 MB
+    monkeypatch.setattr(retrieval, "_BATCH_CELLS", 1 << 16)
+    budget = Budget(1024, 4, 4)
+    h = budget.horizon
+    rng = np.random.default_rng(5)
+    source = LabeledSeries("a", "d", rng.normal(size=1300), 1128, ())
+    long = LabeledSeries("q", "d", rng.normal(size=10 + budget.total + h + 999), 10, ())
+    cfg = config(budget=budget, pool_stride=1, eval_stride=1)
+    data = PreparedRun(config=cfg, series=[source, long], periods={}, pools={})
+    harness._retrieved(data, source, "test")  # FFT plans and first calls
+    tracemalloc.start()
+    try:
+        (examples,) = harness._retrieved(data, long, "test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    queries_bytes = len(examples) * budget.example_len * 8
+    assert len(examples) == 1000 and queries_bytes > 8e6
+    assert peak < queries_bytes / 2
+
+
+def test_a_series_shorter_than_a_query_retrieves_nothing():
+    rng = np.random.default_rng(4)
+    source = LabeledSeries("a", "d", rng.normal(size=300), 200, ())
+    short = LabeledSeries("s", "d", rng.normal(size=BUDGET.example_len - 24), 20, ())
+    data = PreparedRun(config=config(), series=[source, short], periods={}, pools={})
+    assert harness._retrieved(data, short, "test") == [[]]
+
+
 class TestRunSetting:
     def test_unknown_setting(self):
         with pytest.raises(ConfigError):
