@@ -208,7 +208,8 @@ def parse_ucr_file(path: str | Path) -> LabeledSeries:
                 hi = blank.start() if blank else end
             chunk, lo = data[lo:hi], hi + 1
             floats = _json_floats(chunk.replace(b"\n", b","), _count(chunk, b"\n") + 1)
-            pieces.append(np.asarray(floats or _parse_tokens(chunk), dtype=np.float64))
+            pieces.append(np.fromiter(floats, np.float64, len(floats)) if floats
+                          else np.asarray(_parse_tokens(chunk), dtype=np.float64))
         values = np.concatenate(pieces) if pieces else np.empty(0)
         finite = bool(np.isfinite(values).all())
     except ValueError:

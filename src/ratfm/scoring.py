@@ -67,12 +67,12 @@ def estimate_period(train_values: np.ndarray) -> PeriodEstimate:
     frequency grid around it (a true sinusoid's period need not divide
     the signal length, so the integer bin alone can be off by one) and
     converted to ``round(N / f)``, clamped to [2, N // 2].  The grid is
-    searched only when it could change that period, that is when the
-    periods 1.2 bins either side of the peak differ.  On long series a
-    bin moves N / f by a small fraction of a period, so the search still
-    runs there only for periods near a half-integer.  A peak whose
-    magnitude is below :data:`DEFAULT_DOMINANCE_THRESHOLD` times the mean
-    magnitude marks the signal as aperiodic and falls back to
+    zoomed in two stages, each run only if it could change that period: the
+    first if the periods 1.2 bins either side of the peak differ, the second
+    if those 0.12 bins either side of the first stage's winner do.  Long
+    series refine only periods near a half-integer.  A peak whose magnitude
+    is below :data:`DEFAULT_DOMINANCE_THRESHOLD` times the mean magnitude
+    marks the signal as aperiodic and falls back to
     :data:`DEFAULT_FALLBACK_PERIOD`.
     """
     x = np.asarray(train_values, dtype=np.float64)
@@ -93,9 +93,7 @@ def estimate_period(train_values: np.ndarray) -> PeriodEstimate:
         return PeriodEstimate(
             period=DEFAULT_FALLBACK_PERIOD, dominance=dominance, fallback_used=True
         )
-    period = _settled_period(n, k_star)
-    if period is None:
-        period = _clamped_period(n, _refine_peak(centered, k_star))
+    period = _refine_peak(centered, k_star)
     return PeriodEstimate(period=period, dominance=dominance, fallback_used=False)
 
 
@@ -104,28 +102,28 @@ def _clamped_period(n: int, freq: float) -> int:
     return max(2, min(int(round(n / freq)), n // 2))
 
 
-def _settled_period(n: int, k_star: int) -> int | None:
-    """The period every refinement of bin ``k_star`` gives, if they agree.
+def _settled_period(n: int, centre: float, half_width: float) -> int | None:
+    """The period of every frequency in ``centre`` +/- 1.2 ``half_width``, if one.
 
-    :func:`_refine_peak` returns a frequency within ``k_star`` +/- 1.1
-    bins (+/- 1, then +/- 0.1 around the first winner), clipped to
-    [0.5, n / 2]; +/- 1.2 covers the grids' round-off too.  The clamped
-    rounded period does not increase with the frequency, so if both ends
-    of that range give the same period, every frequency inside gives it.
-    Otherwise the range straddles a rounding boundary: None.
+    The stages left to zoom from ``centre`` (+/- 1 bin, then +/- 0.1) give a
+    frequency within ``centre`` +/- 1.1 ``half_width`` (1.2 covers round-off),
+    clipped to [0.5, n / 2].  The clamped rounded period does not rise with
+    the frequency, so equal periods at both ends are every frequency's; else None.
     """
-    longest = _clamped_period(n, max(k_star - 1.2, 0.5))
-    shortest = _clamped_period(n, min(k_star + 1.2, n / 2))
+    longest = _clamped_period(n, max(centre - 1.2 * half_width, 0.5))
+    shortest = _clamped_period(n, min(centre + 1.2 * half_width, n / 2))
     return longest if longest == shortest else None
 
 
-def _refine_peak(centered: np.ndarray, k_star: int) -> float:
-    """Locate the spectral peak on a fine frequency grid around bin k_star.
+def _refine_peak(centered: np.ndarray, k_star: int) -> int:
+    """Clamped period of the spectral peak, zoomed on a grid around bin k_star.
 
-    Two zoom stages (0.05-bin then 0.005-bin steps) evaluate |DTFT| at 41
-    grid frequencies each.  Each evaluation is factorised in blocks: with
-    t = B*q + r and B = ceil(sqrt(n)), ``centered`` is zero-padded into a
-    (Q, B) matrix X, X[q, r] = centered[B*q + r], and
+    Up to two zoom stages (0.05-bin then 0.005-bin steps) evaluate |DTFT| at
+    41 grid frequencies each; a stage runs only if :func:`_settled_period`
+    finds that it and the stages after it could change the period.  Each
+    evaluation is factorised in blocks: with t = B*q + r and
+    B = ceil(sqrt(n)), ``centered`` is zero-padded into a (Q, B) matrix X,
+    X[q, r] = centered[B*q + r], and
 
         DTFT(g) = sum_q exp(-2 pi i g B q / n) * sum_r exp(-2 pi i g r / n) X[q, r],
 
@@ -135,26 +133,27 @@ def _refine_peak(centered: np.ndarray, k_star: int) -> float:
     complex matrix (0.66 GB at n = 1e6).
     """
     n = len(centered)
-    block = math.isqrt(n - 1) + 1
-    n_blocks = -(-n // block)
-    x = np.zeros(n_blocks * block)
-    x[:n] = centered
-    xt = x.reshape(n_blocks, block).T
-    r = np.arange(block)
-    q_start = block * np.arange(n_blocks)
     best = float(k_star)
-    half_width = 1.0
-    for _ in range(2):
-        lo = max(best - half_width, 0.5)
-        hi = min(best + half_width, n / 2)
-        grid = np.linspace(lo, hi, 41)
-        inner = np.exp(-2j * np.pi * np.outer(grid, r) / n)
-        partial = inner.real @ xt + 1j * (inner.imag @ xt)
-        outer = np.exp(-2j * np.pi * np.outer(grid, q_start) / n)
-        response = np.abs(np.sum(partial * outer, axis=1))
-        best = float(grid[np.argmax(response)])
-        half_width /= 10.0
-    return best
+    xt = None
+    for half_width in (1.0, 0.1):
+        period = _settled_period(n, best, half_width)
+        if period is not None:
+            return period
+        if xt is None:
+            block = math.isqrt(n - 1) + 1
+            xt = np.concatenate((centered, np.zeros(-n % block))).reshape(-1, block).T
+        grid = np.linspace(max(best - half_width, 0.5), min(best + half_width, n / 2), 41)
+        best = _grid_peak(xt, n, grid)
+    return _clamped_period(n, best)
+
+
+def _grid_peak(xt: np.ndarray, n: int, grid: np.ndarray) -> float:
+    """The first frequency of ``grid`` with the largest |DTFT| (one zoom stage)."""
+    block, n_blocks = xt.shape
+    inner = np.exp(-2j * np.pi * np.outer(grid, np.arange(block)) / n)
+    partial = inner.real @ xt + 1j * (inner.imag @ xt)
+    outer = np.exp(-2j * np.pi * np.outer(grid, block * np.arange(n_blocks)) / n)
+    return float(grid[np.argmax(np.abs(np.sum(partial * outer, axis=1)))])
 
 
 def sma_smooth(scores: np.ndarray, window: int) -> np.ndarray:

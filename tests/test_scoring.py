@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import math
 import tempfile
@@ -103,10 +104,19 @@ class TestEstimatePeriod:
         )
         centered = x - x.mean()
         k_star = 1 + int(np.argmax(np.abs(np.fft.rfft(centered))[1 : n // 2 + 1]))
-        assert scoring._refine_peak(centered, k_star) == refine_peak_dense(
-            centered, k_star
-        )
-        with mock.patch.object(scoring, "_refine_peak", refine_peak_dense):
+        freq = refine_peak_dense(centered, k_star)
+        # every stage run, the frequency bit for bit; every exit taken, the period
+        with _stages() as stages, _exits_off():
+            assert scoring._refine_peak(centered, k_star) == scoring._clamped_period(n, freq)
+        assert len(stages) == 2 and stages[-1] == freq
+        with _stages() as stages:
+            assert scoring._refine_peak(centered, k_star) == scoring._clamped_period(n, freq)
+        assert len(stages) < 2 or stages[-1] == freq
+
+        def dense(centered, k_star):
+            return scoring._clamped_period(len(centered), refine_peak_dense(centered, k_star))
+
+        with mock.patch.object(scoring, "_refine_peak", dense):
             expected = estimate_period(x)
         assert estimate_period(x) == expected
 
@@ -114,44 +124,54 @@ class TestEstimatePeriod:
         n = 1_000_000
         t = np.arange(n)
         noise = np.random.default_rng(6).standard_normal(n)
-        # bins 3991.8 and 3994.2 give periods 251 and 250, so the grid is searched
+        # bins 3991.8 and 3994.2 give periods 251 and 250, so the grid is
+        # searched; 0.12 bins either side of its first winner give 250 only
         x = np.sin(2 * np.pi * t / 250.45 + 0.3) + 0.2 * noise
-        spy = mock.Mock(wraps=scoring._refine_peak)
         tracemalloc.start()
         try:
-            with mock.patch.object(scoring, "_refine_peak", spy):
+            with _stages() as stages:
                 est = estimate_period(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert spy.call_count == 1
+        assert len(stages) == 1
         # a dense (41, n) complex grid matrix alone would take 0.66 GB
         assert peak < 64 * 2**20
         assert est.period == 250 and not est.fallback_used
 
     @settings(max_examples=300, deadline=None)
     @given(
-        n_k=st.integers(8, 10**7).flatmap(
+        n_k_j=st.integers(8, 10**7).flatmap(
             lambda n: st.tuples(
                 st.just(n),
                 # log-uniform, so bins that settle (k* >~ sqrt(2.4 n)) and
                 # bins that do not are both drawn often
                 st.floats(0.0, 1.0).map(lambda u: max(1, round((n // 2) ** u))),
+                # -1: the first stage's check; j: the second's, centred on
+                # the first stage's j-th grid frequency
+                st.integers(-1, 40),
             )
         )
     )
-    @example(n_k=(100_000, 1042))
-    @example(n_k=(100_000, 1389))
-    @example(n_k=(2_400, 25))
-    @example(n_k=(1_000_000, 3993))
-    def test_settled_period_matches_a_dense_scan(self, n_k):
+    @example(n_k_j=(100_000, 1042, -1))
+    @example(n_k_j=(100_000, 1389, -1))
+    @example(n_k_j=(2_400, 25, -1))
+    @example(n_k_j=(2_400, 25, 19))  # centre 24.95, 0.12 bins straddle 96.5
+    @example(n_k_j=(2_400, 33, 27))  # centre 33.35: period 72 either side
+    @example(n_k_j=(1_000_000, 3993, -1))
+    @example(n_k_j=(1_000_000, 3993, 16))  # centre 3992.8: period 250 either side
+    def test_settled_period_matches_a_dense_scan(self, n_k_j):
         # the clamped rounded period over a dense grid of every frequency the
-        # refinement could return; the exit must name it exactly when it is one
-        n, k_star = n_k
-        grid = np.linspace(max(k_star - 1.2, 0.5), min(k_star + 1.2, n / 2), 4001)
-        periods = {max(2, min(round(n / f), n // 2)) for f in grid.tolist()}
+        # stages left could return; the exit must name it exactly when it is one
+        n, k_star, j = n_k_j
+        centre, half_width = float(k_star), 1.0
+        if j >= 0:
+            stage_one = np.linspace(max(k_star - 1.0, 0.5), min(k_star + 1.0, n / 2), 41)
+            centre, half_width = float(stage_one[j]), 0.1
+        lo, hi = max(centre - 1.2 * half_width, 0.5), min(centre + 1.2 * half_width, n / 2)
+        periods = {max(2, min(round(n / f), n // 2)) for f in np.linspace(lo, hi, 4001).tolist()}
         expected = periods.pop() if len(periods) == 1 else None
-        assert scoring._settled_period(n, k_star) == expected
+        assert scoring._settled_period(n, centre, half_width) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -167,30 +187,27 @@ class TestEstimatePeriod:
         whole = math.floor(3 + period_share * (n / 4 - 4))
         period = whole + offset + (0.5 if near_half else 0.0)
         x = np.sin(2 * np.pi * np.arange(n) / period + phase)
-        real = scoring._refine_peak
-        moves = []
-
-        def refine(centered, k_star):
-            freq = real(centered, k_star)
-            moves.append(freq - k_star)
-            return freq
-
-        with mock.patch.object(scoring, "_settled_period", return_value=None):
+        with _stages() as stages, _exits_off():
             expected = estimate_period(x)
-        with mock.patch.object(scoring, "_refine_peak", refine):
-            assert estimate_period(x) == expected
-        # the range the exit checks holds every frequency the grid returns
-        assert all(abs(move) <= 1.1 + 1e-9 for move in moves)
+        assert estimate_period(x) == expected
+        # from each stage's centre, the stages left return a frequency within
+        # 1.1 half-widths of it: the range each exit checks holds them all
+        if stages:
+            k_star = 1 + int(np.argmax(np.abs(np.fft.rfft(x - x.mean()))[1 : n // 2 + 1]))
+            first, second = stages
+            assert abs(first - k_star) <= 1.0 and abs(second - first) <= 0.1 + 1e-12
+            assert abs(second - k_star) <= 1.1 + 1e-9
 
     @pytest.mark.parametrize(
-        "train_len, test_len, refinements",
-        [(100_000, 200_000, 0), (2_400, 1_600, 2)],
+        "train_len, test_len, zoom_stages",
+        [(100_000, 200_000, 0), (2_400, 1_600, 3)],
     )
     def test_refinement_runs_only_where_it_can_change_the_period(
-        self, train_len, test_len, refinements
+        self, train_len, test_len, zoom_stages
     ):
         # series shaped as in the archive_zero_shot and consumers_default
-        # benchmark workloads
+        # benchmark workloads: both archive periods settle before the grid,
+        # period 72 after its first stage, period 96 after both
         spec = SynthSpec(
             domains=2,
             series_per_domain=1,
@@ -198,11 +215,28 @@ class TestEstimatePeriod:
             test_len=test_len,
             seed=1,
         )
-        spy = mock.Mock(wraps=scoring._refine_peak)
-        with mock.patch.object(scoring, "_refine_peak", spy):
+        with _stages() as stages:
             periods = [prepare_series(s)[1] for s in generate_synthetic(spec)]
-        assert spy.call_count == refinements
+        assert len(stages) == zoom_stages
         assert periods == [96, 72]
+
+
+@contextlib.contextmanager
+def _stages():
+    """The frequency each zoom stage returns, in order, while in the block."""
+    real, found = scoring._grid_peak, []
+
+    def grid_peak(xt, n, grid):
+        found.append(real(xt, n, grid))
+        return found[-1]
+
+    with mock.patch.object(scoring, "_grid_peak", grid_peak):
+        yield found
+
+
+def _exits_off():
+    """Run every zoom stage, as if no period were ever settled."""
+    return mock.patch.object(scoring, "_settled_period", return_value=None)
 
 
 class TestSmaSmooth:
