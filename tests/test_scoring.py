@@ -1,6 +1,9 @@
 import contextlib
 import csv
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ratfm.scoring as scoring
-from oracles import mu_3sigma_labels, refine_peak_dense, sma_formula
+from oracles import mu_3sigma_labels, phase_powers_exact, refine_peak_dense, sma_formula
 from ratfm.errors import InvalidWindowError, LengthMismatchError, SeriesTooShortError
 from ratfm.harness import prepare_series
 from ratfm.scoring import (
@@ -93,6 +96,14 @@ class TestEstimatePeriod:
         phases=st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi)),
         seed=st.integers(0, 2**32 - 1),
     )
+    # the consumers_default shapes: n = 2 400, periods 96 and 72
+    @example(n=2_400, period_share=93.5 / 597.5, noise=0.1, phases=(0.0, 0.0), seed=1)
+    @example(n=2_400, period_share=69.5 / 597.5, noise=0.1, phases=(1.0, 2.0), seed=2)
+    # period 96.505, 0.005 from the half-integer where the rounding flips (B = 317)
+    @example(n=100_000, period_share=94.005 / 24_997.5, noise=0.2, phases=(0.5, 0.0), seed=3)
+    # the period, phase and noise of test_million_points_in_bounded_memory's
+    # series, period 250.45 (B = 1 000)
+    @example(n=1_000_000, period_share=247.95 / 249_997.5, noise=0.2, phases=(0.3, 0.0), seed=6)
     def test_refine_peak_matches_dense_oracle(self, n, period_share, noise, phases, seed):
         # a non-integer period in [2.5, n / 4], its second harmonic and noise
         period = 2.5 + period_share * (n / 4 - 2.5)
@@ -113,8 +124,10 @@ class TestEstimatePeriod:
             assert scoring._refine_peak(centered, k_star) == scoring._clamped_period(n, freq)
         assert len(stages) < 2 or stages[-1] == freq
 
-        def dense(centered, k_star):
-            return scoring._clamped_period(len(centered), refine_peak_dense(centered, k_star))
+        def dense(called_with, called_k):
+            # the oracle's answer for these very arguments, found above
+            assert called_k == k_star and np.array_equal(called_with, centered)
+            return scoring._clamped_period(n, freq)
 
         with mock.patch.object(scoring, "_refine_peak", dense):
             expected = estimate_period(x)
@@ -138,6 +151,40 @@ class TestEstimatePeriod:
         # a dense (41, n) complex grid matrix alone would take 0.66 GB
         assert peak < 64 * 2**20
         assert est.period == 250 and not est.fallback_used
+
+    @pytest.mark.parametrize("n", [64, 2_400, 100_000, 1_000_000, 10_000_000])
+    def test_phase_powers_match_exponentials(self, n):
+        # both tables of a zoom stage over B columns, at 41 frequencies
+        # spanning [0.5, n / 2]; entry k may drift 3 * k * 2**-52 from its
+        # exponential, and the reference carries 4 * 2**-52 of its own
+        block = math.isqrt(n - 1) + 1
+        grid = np.concatenate(([0.5, n / 2], np.random.default_rng(n).uniform(0.5, n / 2, 39)))
+        bound = (3 * np.arange(block) + 4) * 2.0**-52
+        for phase in (-2 * np.pi * grid / n, -2 * np.pi * grid * block / n):
+            table = scoring._phase_powers(phase, block)
+            assert table.shape == (41, block) and np.all(table[:, 0] == 1)
+            assert np.all(np.abs(table - phase_powers_exact(phase, block)) <= bound)
+
+    def test_zoom_stage_does_not_depend_on_blas_threads(self):
+        # the stage's (41, B) x (B, Q) product is set-up's one BLAS call;
+        # OpenBLAS may split it over threads at n = 10**6
+        env = dict(os.environ, PYTHONPATH=str(Path(scoring.__file__).parents[1]))
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _MILLION_POINT_STAGES],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=dict(env, OPENBLAS_NUM_THREADS=threads),
+            )
+            for threads in ("1", "2")
+        ]
+        outputs = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            outputs.append(out)
+        period, stages = outputs[0].split()
+        assert period == "250" and len(stages.split(",")) == 1
+        assert outputs[0] == outputs[1]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -219,6 +266,26 @@ class TestEstimatePeriod:
             periods = [prepare_series(s)[1] for s in generate_synthetic(spec)]
         assert len(stages) == zoom_stages
         assert periods == [96, 72]
+
+
+# the series of test_million_points_in_bounded_memory: period, then each
+# zoom stage's frequency as float.hex
+_MILLION_POINT_STAGES = """
+import numpy as np
+from unittest import mock
+import ratfm.scoring as scoring
+n = 1_000_000
+t = np.arange(n)
+noise = np.random.default_rng(6).standard_normal(n)
+x = np.sin(2 * np.pi * t / 250.45 + 0.3) + 0.2 * noise
+real, found = scoring._grid_peak, []
+def grid_peak(xt, n, grid):
+    found.append(real(xt, n, grid))
+    return found[-1]
+with mock.patch.object(scoring, "_grid_peak", grid_peak):
+    est = scoring.estimate_period(x)
+print(est.period, ",".join(f.hex() for f in found))
+"""
 
 
 @contextlib.contextmanager
